@@ -119,7 +119,7 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         if r <= fY.rank:
             raise ArgumentError(
                 f"coreset size r={r} must exceed rank(Y)={fY.rank}")
-        weights = _barrier_core(U_Y, r, ("same", None))
+        weights = _barrier_core(U_Y, r, U_Y)
         plan = _plan_from_weights(weights)
         C = apply_plan_rows(p.A, plan)
         b_c = plan.weights * p.b[plan.indices]
@@ -149,39 +149,19 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
                    delta=delta_used)
 
 
-def _lawson_hanson(C, b):
-    """Active-set NNLS: argmin_{x >= 0} ||Cx - b||^2."""
+def _nnls(C, b):
+    """argmin_{x >= 0} ||Cx - b||^2 by scipy's Lawson-Hanson active set."""
+    import scipy.optimize  # ~0.3 s to import, and only NNLS needs it
+
     m, n = C.shape
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    try:
+        x = scipy.optimize.nnls(C, b)[0]
+    except RuntimeError as exc:  # scipy's iteration cap, 3n
+        raise ConvergenceError(
+            f"NNLS exceeded its iteration cap on {m}x{n} system") from exc
+    passive = x > 0.0
     scale = max(1.0, float(np.abs(C.T @ b).max()))
-    wtol = 1e-10 * scale
-    cap = 3 * n
-    cycles = 0
-    w = C.T @ b
-    while (~passive).any() and (w[~passive] > wtol).any():
-        cycles += 1
-        if cycles > cap:
-            raise ConvergenceError(
-                f"NNLS exceeded {cap} active-set cycles on {m}x{n} system")
-        j = int(np.argmax(np.where(passive, -np.inf, w)))
-        passive[j] = True
-        while True:
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(C[:, passive], b, rcond=None)[0]
-            if z[passive].min() > 0.0:
-                x = z
-                break
-            cycles += 1
-            if cycles > cap:
-                raise ConvergenceError(
-                    f"NNLS exceeded {cap} active-set cycles on {m}x{n} system")
-            drop = passive & (z <= 0.0)
-            alpha = float(np.min(x[drop] / (x[drop] - z[drop])))
-            x = x + alpha * (z - x)
-            passive &= x > 1e-14 * scale
-            x[~passive] = 0.0
-        w = C.T @ (b - C @ x)
+    w = C.T @ (b - C @ x)
 
     # KKT: zero gradient on the support, nonnegative dual off it
     gtol = 1e-8 * scale
@@ -207,7 +187,7 @@ def solve_ls(C, b, constraint="none"):
     if constraint == "none":
         return pseudo_inverse(C) @ b
     if constraint == "nonnegative":
-        return _lawson_hanson(C, b)
+        return _nnls(C, b)
     raise ArgumentError(
         f"constraint must be one of {_CONSTRAINTS}, got {constraint!r}")
 

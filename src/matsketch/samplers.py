@@ -144,9 +144,15 @@ def rrqr_select(X, f=2.0):
 # dual-set barrier sparsifiers
 
 
-def _check_orthonormal(M, name):
+def _ortho_deviation(M):
+    """max |M^T M - I|: how far the columns of M are from orthonormal."""
     G = M.T @ M
-    dev = float(np.max(np.abs(G - np.eye(M.shape[1]))))
+    G.flat[:: G.shape[0] + 1] -= 1.0
+    return float(np.max(np.abs(G)))
+
+
+def _check_orthonormal(M, name):
+    dev = _ortho_deviation(M)
     if dev > _ORTHO_TOL:
         raise ArgumentError(
             f"{name} must have orthonormal columns (deviation {dev:.2e} > {_ORTHO_TOL})"
@@ -161,44 +167,44 @@ def _lower_values(VW, d, denom):
 
 
 def _barrier_core(V, r, upper):
-    """Shared greedy loop.
+    """Shared greedy loop; returns the merged, rescaled weights s (length n).
 
-    upper is one of
-      ("matrix", U)      spectral control of an n x ell set,
-      ("same", None)     U = V (single-set),
-      ("identity", None) U = I_n fast path,
-      ("columns", c_sq)  Frobenius/trace control, c_sq = squared column norms.
-    Returns the merged, rescaled weight vector s (length n).
+    upper is an n x ell matrix U for spectral control of ||U^T Omega S||_2
+    (V itself for the single-set walk, which then reuses the lower side's
+    eigenpairs), or a length-n vector of squared column norms for Frobenius
+    control by a constant per-index potential.
 
-    Each step picks the smallest feasible index, so rows are scored in
-    doubling prefix blocks (_SCAN_BLOCK, then 2x, 4x, ...) and the scan
-    stops at the first block holding a feasible row. A row's values do not
-    depend on which block scores it, so the weights match a full scan.
+    B = sum_j s_j u_j u_j^T is never formed: with Y = diag(sqrt(s_P)) U[P]
+    over the p <= tau picked rows P, eigh(Y Y^T) = (nu, Q), R = Y^T Q,
+    z = u R and c = U_tau + dU,
+      u^T (cI - B)^-1 u = |u|^2/c + sum z^2 / (c (c - nu)),
+      u^T (cI - B)^-2 u = |u|^2/c^2 + sum z^2 (2c - nu) / (c (c - nu))^2,
+      tr (xI - B)^-1 = (ell - p)/x + sum 1/(x - nu);
+    nothing divides by nu, so a singular Gram (p > ell) needs no care.
+
+    Rows with ||v_j||^2 <= eps k/n are round-off (zero input columns) and
+    never picked: their weight 2/(U + L) would be unbounded. Each step
+    picks the smallest feasible index, so rows are scored in doubling prefix
+    blocks (_SCAN_BLOCK, 2x, 4x, ...) up to the first block holding a
+    feasible row; a row's values do not depend on its block.
     """
     n, k = V.shape
     if not (k < r):
         raise ArgumentError(f"need k < r, got k={k}, r={r}")
     shrink = 1.0 - math.sqrt(k / r)
     sqrt_rk = math.sqrt(r * k)
+    live = np.einsum("ij,ij->i", V, V) > np.finfo(float).eps * k / n
 
-    kind, data = upper
-    if kind == "matrix":
-        U = data
-        ell = U.shape[1]
+    same = upper is V
+    quadratic = upper.ndim == 2
+    if quadratic:
+        ell = upper.shape[1]
         dU = (1.0 + math.sqrt(ell / r)) / shrink
-        B_acc = np.zeros((ell, ell))
-    elif kind == "same":
-        ell = k
-        dU = (1.0 + math.sqrt(ell / r)) / shrink
-    elif kind == "identity":
-        ell = n
-        dU = (1.0 + math.sqrt(ell / r)) / shrink
-        diag_raw = np.zeros(n)
-    else:  # columns
-        c_sq = data
-        total = float(c_sq.sum())
+        u_sq = np.einsum("ij,ij->i", upper, upper)
+    else:
+        total = float(upper.sum())
         dU = total / shrink
-        UF = c_sq / dU if total > 0 else np.zeros(n)
+        UF = upper / dU if total > 0 else np.zeros(n)
 
     s = np.zeros(n)
     A_acc = np.zeros((k, k))
@@ -212,20 +218,27 @@ def _barrier_core(V, r, upper):
         denomL = float(np.sum(1.0 / d) - np.sum(1.0 / (lam - L)))
         if denomL <= 0:
             raise NumericError("internal: lower potential difference not positive")
-        if kind != "columns":
+        if quadratic:
             Uthr = dU * (tau + math.sqrt(ell * r))
-            if kind == "same":
-                mu = lam
-            elif kind == "matrix":
-                mu, Wb = np.linalg.eigh(B_acc)
-            else:  # identity
-                mu = diag_raw
-            e = (Uthr + dU) - mu
-            if e.min() <= 0:
+            c = Uthr + dU
+            if same:
+                nu = lam
+            else:
+                P = np.flatnonzero(s)
+                Y = np.sqrt(s[P])[:, None] * upper[P]
+                nu, Q = np.linalg.eigh(Y @ Y.T)
+                R = Y.T @ Q
+            e = c - nu
+            if (e <= 0).any():
                 raise NumericError("internal: upper barrier crossed")
-            denomU = float(np.sum(1.0 / (Uthr - mu)) - np.sum(1.0 / e))
+            denomU = float(np.sum(1.0 / (Uthr - nu)) - np.sum(1.0 / e)) + (
+                ell - nu.size
+            ) * (1.0 / Uthr - 1.0 / c)
             if denomU <= 0:
                 raise NumericError("internal: upper potential difference not positive")
+            if not same:
+                w1 = 1.0 / (c * e)
+                w2 = (c + e) / (c * c * e * e)
 
         # per-row values, block by block, up to the first feasible row
         margin = math.inf
@@ -234,23 +247,26 @@ def _barrier_core(V, r, upper):
             lo, hi = hi, min(n, max(_SCAN_BLOCK, 2 * hi))
             VW = V[lo:hi] @ W
             Lvals = _lower_values(VW, d, denomL)
-            if kind == "columns":
+            if not quadratic:
                 Uvals = UF[lo:hi]
-            elif kind == "identity":
-                eb = e[lo:hi]
-                Uvals = (1.0 / (eb * eb)) / denomU + 1.0 / eb
-            else:
-                UW = VW if kind == "same" else U[lo:hi] @ Wb
-                Uvals = (UW * UW / (e * e)).sum(axis=1) / denomU + (
-                    UW * UW / e
+            elif same:
+                Uvals = (VW * VW / (e * e)).sum(axis=1) / denomU + (
+                    VW * VW / e
                 ).sum(axis=1)
+            else:
+                Z2 = upper[lo:hi] @ R
+                Z2 *= Z2
+                ub = u_sq[lo:hi]
+                Uvals = (ub / (c * c) + Z2 @ w2) / denomU + (ub / c + Z2 @ w1)
 
+            ok = live[lo:hi]
             tol = 1e-9 * np.maximum(1.0, np.abs(Lvals))
-            feas = (Uvals <= Lvals + tol) & (Uvals + Lvals > 0)
+            feas = ok & (Uvals <= Lvals + tol) & (Uvals + Lvals > 0)
             if feas.any():
                 i = int(np.argmax(feas))  # smallest feasible index
                 break
-            margin = np.minimum(margin, np.min(Uvals - Lvals))  # keeps a nan
+            margin = np.minimum(  # keeps a nan
+                margin, np.min(Uvals - Lvals, where=ok, initial=math.inf))
         else:
             raise InfeasibleStepError(
                 tau,
@@ -263,10 +279,6 @@ def _barrier_core(V, r, upper):
             raise InfeasibleStepError(tau, t, "nonpositive or non-finite weight")
         s[j] += t
         A_acc += t * np.outer(V[j], V[j])
-        if kind == "matrix":
-            B_acc += t * np.outer(U[j], U[j])
-        elif kind == "identity":
-            diag_raw[j] += t
 
     return s * (shrink / r)
 
@@ -300,14 +312,9 @@ def barrier_dual_spectral(V, U, r):
         raise ArgumentError(f"need k < r <= n, got k={k}, r={r}, n={n}")
     _check_orthonormal(V, "V")
     same = U is V or (U.shape == V.shape and np.array_equal(U, V))
-    if same:
-        upper = ("same", None)
-    elif U.shape[0] == U.shape[1] and np.array_equal(U, np.eye(n)):
-        upper = ("identity", None)
-    else:
+    if not same:
         _check_orthonormal(U, "U")
-        upper = ("matrix", U)
-    return _plan_from_weights(_barrier_core(V, int(r), upper))
+    return _plan_from_weights(_barrier_core(V, int(r), V if same else U))
 
 
 def barrier_single(V, r):
@@ -339,7 +346,7 @@ def barrier_dual_frobenius(V, A_cols, r):
         raise ArgumentError(f"need k < r <= n, got k={k}, r={r}, n={n}")
     _check_orthonormal(V, "V")
     c_sq = np.einsum("ij,ij->j", A_cols, A_cols)
-    return _plan_from_weights(_barrier_core(V, int(r), ("columns", c_sq)))
+    return _plan_from_weights(_barrier_core(V, int(r), c_sq))
 
 
 def barrier_dual_general(X, Y, r, mode="spectral"):
@@ -357,10 +364,7 @@ def barrier_dual_general(X, Y, r, mode="spectral"):
     n = X.shape[0]
 
     def _left_factor(M):
-        G = M.T @ M
-        if float(np.max(np.abs(G - np.eye(M.shape[1])))) <= _ORTHO_TOL:
-            return M
-        return svd(M).U
+        return M if _ortho_deviation(M) <= _ORTHO_TOL else svd(M).U
 
     UX = _left_factor(X)
     rho = UX.shape[1]

@@ -81,6 +81,21 @@ def test_cx_frobenius_deterministic_bound():
         assert res.bound_value == pytest.approx(bound * res.baseline_sigma)
 
 
+def test_deterministic_cx_skips_zero_columns():
+    # a zero column leaves a round-off row in V; picking it would need an
+    # unbounded weight and used to cross the lower barrier
+    A = lowrank_plus_noise(60, 30, 3, 0.05, seed=0)
+    zero = [4, 11, 20]
+    A[:, zero] = 0.0
+    for cx in (cx_frobenius, cx_spectral):
+        res = cx(A, 3, 8, mode="deterministic")
+        assert not set(zero) & set(res.plan.indices.tolist())
+        assert len(res.plan) <= 8
+        err = (res.rank_k_error_frobenius if res.norm == "frobenius"
+               else res.rank_k_error_spectral)
+        assert err <= res.bound_value
+
+
 def test_cx_frobenius_zero_error_on_rank_k_input():
     g = rand(3)
     A = g.normal(size=(14, 2)) @ g.normal(size=(2, 16))

@@ -1,12 +1,13 @@
 """Row coresets for constrained least squares and the NNLS solver."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from matsketch import (ArgumentError, RankError, RegressionProblem,
+from matsketch import (ArgumentError, ConvergenceError, RankError, RegressionProblem,
                        apply_plan_rows, build_coreset, coreset_size,
                        evaluate_coreset, solve_ls, svd)
 
@@ -220,3 +221,33 @@ def test_nnls_agrees_with_scipy():
         ours = solve_ls(A, b, "nonnegative")
         ref = scipy.optimize.nnls(A, b)[0]
         assert np.linalg.norm(A @ ours - b) <= np.linalg.norm(A @ ref - b) + 1e-9
+
+
+def test_nnls_matches_support_enumeration():
+    # the NNLS optimum is the best unconstrained fit over some support whose
+    # solution is nonnegative; with n = 4 every support can be tried
+    for s in range(10):
+        g = rand(970 + s)
+        A = g.normal(size=(40, 4))
+        b = g.normal(size=40)
+        best = np.linalg.norm(b)
+        for mask in itertools.product([False, True], repeat=4):
+            cols = np.flatnonzero(mask)
+            if cols.size == 0:
+                continue
+            z = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
+            if np.all(z >= 0):
+                best = min(best, np.linalg.norm(A[:, cols] @ z - b))
+        x = solve_ls(A, b, "nonnegative")
+        assert np.linalg.norm(A @ x - b) == pytest.approx(best, rel=1e-12)
+
+
+def test_nnls_iteration_cap_is_convergence_error(monkeypatch):
+    import scipy.optimize
+
+    def capped(A, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    with pytest.raises(ConvergenceError, match="iteration cap"):
+        solve_ls(np.eye(2), np.array([1.0, -1.0]), "nonnegative")

@@ -268,6 +268,16 @@ def test_barrier_dual_spectral_feasible_on_varied_shapes():
         assert np.linalg.norm(Uc, 2) <= 1 + math.sqrt(ell / r) + 1e-9
 
 
+def test_barrier_dual_spectral_identity_upper_side():
+    # U = I_n bounds every weight: ||I Omega S||_2 = max_j sqrt(s_j)
+    for n, k, r in [(40, 2, 8), (60, 3, 30), (25, 1, 25)]:
+        V = random_orthonormal(n, k, seed=n + k)
+        plan = barrier_dual_spectral(V, np.eye(n), r)
+        lo, _ = _sigma_range(V, plan)
+        assert lo >= 1 - math.sqrt(k / r) - 1e-9
+        assert plan.weights.max() <= 1 + math.sqrt(n / r) + 1e-9
+
+
 def test_barrier_dual_spectral_is_deterministic():
     V = random_orthonormal(30, 3, seed=19)
     U = random_orthonormal(30, 5, seed=20)
@@ -308,7 +318,7 @@ def test_barrier_infeasible_step_reports_margin_over_all_rows():
     V = 1e-2 * random_orthonormal(n, k, seed=25)
     V[-1] *= 5.0
     with pytest.raises(InfeasibleStepError) as exc:
-        _barrier_core(V, r, ("columns", np.ones(n)))
+        _barrier_core(V, r, np.ones(n))
     assert exc.value.step == 0
     # at step 0: U(a_j) = (1 - sqrt(k/r))/n, L(v_j) = gain * ||v_j||^2
     gain = (math.sqrt(r / k) - 1.0) / (math.sqrt(r * k) - 1.0)
