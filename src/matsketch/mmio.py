@@ -1,9 +1,13 @@
 """Matrix file I/O: MatrixMarket (array and coordinate, real general)
 and headerless CSV.
 
-Parsers are line-oriented so every malformed token can be reported with
-its line number; that is the reason these are written out by hand
-instead of delegating to a library reader.
+Each parser converts its whole body at once: one split into tokens, one
+pass of Python's ``float`` (and ``int`` for coordinate indices) into a
+NumPy array, one vectorized finiteness and range check. Only when that
+fails (a bad token, a non-finite value, a wrong width, count or index)
+is the body rescanned line by line, which reports the first error in
+file order with its line number. The accepted token set is Python's
+``float``/``int``, not a library reader's.
 """
 
 import math
@@ -14,6 +18,7 @@ import numpy as np
 from .errors import ArgumentError, DataFormatError
 
 _MM_MAGIC = "%%MatrixMarket"
+_HEAD_CHARS = 4096  # prefix searched for the header and size line first
 
 
 def _real(tok, path, lineno):
@@ -33,8 +38,59 @@ def _int(tok, path, lineno, what):
         raise DataFormatError(f"{path}:{lineno}: bad {what}: {tok!r}") from None
 
 
+def _reals(tokens):
+    """The tokens as a float array, or None unless every one is a finite real."""
+    try:
+        v = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        return None
+    return v if np.isfinite(v).all() else None
+
+
+def _is_data(ln):
+    """A line that is neither blank nor a % comment."""
+    return ln.strip() and not ln.lstrip().startswith("%")
+
+
+def _size_index(lines):
+    """Index of the first data line after the header, or None."""
+    return next((i for i in range(1, len(lines)) if _is_data(lines[i])), None)
+
+
+def _body_rows(text, k):
+    """Split data lines after line index k, one at a time; blank and comment
+    lines left out (a line's first token starts with % exactly when the
+    stripped line does). Lazy: a list of 10^5 live lists makes the cyclic
+    garbage collector rescan them over and over."""
+    return (p for p in map(str.split, text.splitlines()[k + 1:])
+            if p and p[0][0] != "%")
+
+
+def _body_tokens(text, head):
+    """Tokens after the size line, the last of the head lines."""
+    if text.count("%") == sum(ln.count("%") for ln in head):
+        # no comment line below the head: one split, minus the head's tokens
+        # (every line break splitlines knows is whitespace to split)
+        return text.split()[sum(len(ln.split()) for ln in head):]
+    return [t for p in _body_rows(text, len(head) - 1) for t in p]
+
+
+def _data_lines(text, k):
+    """(line number, line) of every data line after line index k."""
+    return [(i + 1, ln) for i, ln in enumerate(text.splitlines())
+            if i > k and _is_data(ln)]
+
+
 def _parse_matrixmarket(text, path):
-    lines = text.splitlines()
+    # header and size line from a prefix of the text when it holds them; the
+    # prefix's last line may be cut short, so it is dropped
+    lines = text[:_HEAD_CHARS].splitlines()
+    if len(text) > _HEAD_CHARS:
+        lines.pop()
+    k = _size_index(lines)
+    if k is None and len(text) > _HEAD_CHARS:
+        lines = text.splitlines()
+        k = _size_index(lines)
     if not lines or not lines[0].startswith(_MM_MAGIC):
         raise DataFormatError(f"{path}:1: missing {_MM_MAGIC} header")
     toks = lines[0].split()
@@ -49,12 +105,9 @@ def _parse_matrixmarket(text, path):
         raise DataFormatError(
             f"{path}:1: only 'general' symmetry supported, got {symmetry!r}")
 
-    body = [(i + 1, ln) for i, ln in enumerate(lines)
-            if i > 0 and ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
+    if k is None:
         raise DataFormatError(f"{path}: missing size line")
-    size_no, size_ln = body[0]
-    entries = body[1:]
+    size_no, size_ln = k + 1, lines[k]
     size_toks = size_ln.split()
 
     if layout == "array":
@@ -65,14 +118,11 @@ def _parse_matrixmarket(text, path):
         n = _int(size_toks[1], path, size_no, "column count")
         if m < 1 or n < 1:
             raise DataFormatError(f"{path}:{size_no}: dimensions must be positive")
-        vals = []
-        for no, ln in entries:
-            vals.extend(_real(t, path, no) for t in ln.split())
-        if len(vals) != m * n:
-            raise DataFormatError(
-                f"{path}: array body has {len(vals)} entries, expected {m * n}")
+        v = _reals(_body_tokens(text, lines[:k + 1]))
+        if v is None or v.size != m * n:
+            return _array_by_line(text, path, k, m, n)
         # values run down each column in turn
-        return np.array(vals).reshape((n, m)).T.copy()
+        return v.reshape((n, m)).T.copy()
 
     if len(size_toks) != 3:
         raise DataFormatError(
@@ -83,6 +133,42 @@ def _parse_matrixmarket(text, path):
     nnz = _int(size_toks[2], path, size_no, "entry count")
     if m < 1 or n < 1 or nnz < 0:
         raise DataFormatError(f"{path}:{size_no}: bad dimensions/entry count")
+    body = _body_tokens(text, lines[:k + 1])
+    if len(body) == 3 * nnz and {len(p) for p in _body_rows(text, k)} <= {3}:
+        A = _coordinate_bulk(body, m, n, nnz)
+        if A is not None:
+            return A
+    return _coordinate_by_line(text, path, k, m, n, nnz)
+
+
+def _coordinate_bulk(toks, m, n, nnz):
+    """nnz entries 'i j value' summed into an m x n array, or None when an
+    index or value is bad."""
+    try:
+        i = np.fromiter(map(int, toks[0::3]), np.int64, nnz)
+        j = np.fromiter(map(int, toks[1::3]), np.int64, nnz)
+    except (ValueError, OverflowError):
+        return None
+    x = _reals(toks[2::3])
+    if x is None or not ((1 <= i) & (i <= m) & (1 <= j) & (j <= n)).all():
+        return None
+    A = np.zeros((m, n))
+    np.add.at(A, (i - 1, j - 1), x)  # unbuffered: duplicates sum in file order
+    return A
+
+
+def _array_by_line(text, path, k, m, n):
+    vals = []
+    for no, ln in _data_lines(text, k):
+        vals.extend(_real(t, path, no) for t in ln.split())
+    if len(vals) != m * n:
+        raise DataFormatError(
+            f"{path}: array body has {len(vals)} entries, expected {m * n}")
+    return np.array(vals).reshape((n, m)).T.copy()
+
+
+def _coordinate_by_line(text, path, k, m, n, nnz):
+    entries = _data_lines(text, k)
     if len(entries) != nnz:
         raise DataFormatError(
             f"{path}: coordinate body has {len(entries)} entries, expected {nnz}")
@@ -102,6 +188,18 @@ def _parse_matrixmarket(text, path):
 
 
 def _parse_csv(text, path):
+    rows = list(filter(str.strip, text.splitlines()))
+    if rows:
+        commas = rows[0].count(",")
+        if all(ln.count(",") == commas for ln in rows):
+            # float() strips the whitespace around each field itself
+            v = _reals(",".join(rows).split(","))
+            if v is not None:
+                return v.reshape((len(rows), commas + 1))
+    return _csv_by_line(text, path)
+
+
+def _csv_by_line(text, path):
     rows = []
     width = None
     for no, ln in enumerate(text.splitlines(), start=1):

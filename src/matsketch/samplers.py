@@ -31,8 +31,15 @@ def additive_sampling(A, r, seed=0):
     n = A.shape[1]
     if not (1 <= r <= n):
         raise ArgumentError(f"need 1 <= r <= n={n}, got r={r}")
-    sq = np.einsum("ij,ij->j", A, A)
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->j", A, A)
     total = sq.sum()
+    if not 0 < total < math.inf and A.any():
+        # squares overflowed or underflowed; the distribution is
+        # scale-invariant, so take it from A scaled to max |a_ij| = 1
+        B = A / np.abs(A).max()
+        sq = np.einsum("ij,ij->j", B, B)
+        total = sq.sum()
     if total <= 0:
         raise ArgumentError("zero matrix: column probabilities undefined")
     gen = rng.stream(seed, rng.ADDITIVE)
@@ -157,6 +164,13 @@ def _check_orthonormal(M, name):
         raise ArgumentError(
             f"{name} must have orthonormal columns (deviation {dev:.2e} > {_ORTHO_TOL})"
         )
+
+
+def _is_identity(M):
+    """M is exactly I_n (O(n^2), where the orthonormality check is O(n^3))."""
+    n = M.shape[0]
+    return (M.shape == (n, n) and np.count_nonzero(M) == n
+            and bool((M.diagonal() == 1.0).all()))
 
 
 def _lower_values(VW, d, denom):
@@ -312,7 +326,7 @@ def barrier_dual_spectral(V, U, r):
         raise ArgumentError(f"need k < r <= n, got k={k}, r={r}, n={n}")
     _check_orthonormal(V, "V")
     same = U is V or (U.shape == V.shape and np.array_equal(U, V))
-    if not same:
+    if not (same or _is_identity(U)):
         _check_orthonormal(U, "U")
     return _plan_from_weights(_barrier_core(V, int(r), V if same else U))
 

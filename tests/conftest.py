@@ -1,8 +1,12 @@
 """Shared helpers for the test suite."""
 
 import hashlib
+import os
+import pathlib
 
 import numpy as np
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def rand(seed):
@@ -22,3 +26,12 @@ def digest(*arrays):
 
 def plan_digest(plan):
     return digest(plan.indices.astype(float), plan.weights)
+
+
+def src_env():
+    """The environment with the checkout's src/ first on PYTHONPATH, so a
+    child Python imports the package under test, installed or not."""
+    env = dict(os.environ)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = SRC + os.pathsep + old if old else SRC
+    return env

@@ -15,6 +15,8 @@ from matsketch import save_matrix
 from matsketch.cli import determinism_hash, main
 from matsketch.synthetic import lowrank_plus_noise
 
+from conftest import src_env
+
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10: tomli, if installed
@@ -202,7 +204,7 @@ def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "matsketch.cli",
                            "lowerbound", "-n", "4", "--alpha", "0.5",
                            "-r", "8"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 2  # r must be < n; error surfaces as exit code
     err = json.loads(proc.stdout)  # a report, not an argparse usage error
     assert err["error"]["type"] == "ArgumentError"
@@ -218,7 +220,7 @@ def test_console_script_entry_point():
     wrapper = (f"import sys\nfrom {module} import {func}\n"
                f"sys.argv[0] = 'matsketch'\nsys.exit({func}())")
     proc = subprocess.run([sys.executable, "-c", wrapper, "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert proc.stdout == f"matsketch {matsketch.__version__}\n"
 

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from matsketch import (ArgumentError, cssp, cx_frobenius, cx_spectral,
+from matsketch import (ArgumentError, barrier_dual_spectral, cssp,
+                       cx_frobenius, cx_spectral, fast_spectral_svd,
                        interpolative_decomposition, lower_bound_instance,
                        pseudo_inverse, svd)
 from matsketch.synthetic import lowrank_plus_noise
@@ -43,6 +44,16 @@ def test_cx_spectral_deterministic_bound():
         assert res.rank_k_error_spectral <= 5 * math.sqrt(2) * sigma3 + 1e-12
         assert res.bound_value >= res.rank_k_error_spectral
         assert res.baseline_sigma == pytest.approx(sigma3)
+
+
+def test_cx_spectral_fast_plan_is_the_identity_walk():
+    # the plan is the dual-set walk of the sketched basis against I_n
+    A = lowrank_plus_noise(50, 40, 3, 0.1, seed=5)
+    for s in range(3):
+        basis = fast_spectral_svd(A, 3, 1, seed=s)
+        want = barrier_dual_spectral(basis.Z, np.eye(40), 12)
+        got = cx_spectral(A, 3, 12, mode="fast", seed=s).plan
+        assert plan_digest(got) == plan_digest(want)
 
 
 def test_cx_spectral_fast_expectation_bound():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from matsketch import (ArgumentError, InfeasibleStepError, RankError,
                        barrier_dual_general, barrier_dual_spectral,
                        barrier_single, best_rank_k_in_subspace,
                        pseudo_inverse, rrqr_select, subspace_sampling, svd)
-from matsketch.samplers import _barrier_core
+from matsketch import samplers
+from matsketch.samplers import _barrier_core, _plan_from_weights
 from matsketch.synthetic import lowrank_plus_noise, random_orthonormal
 
 from conftest import plan_digest, rand
@@ -61,6 +63,18 @@ def test_additive_rank_k_frobenius_bound_in_expectation():
         approx, _ = best_rank_k_in_subspace(A, C, k)
         errs.append(np.linalg.norm(A - approx) ** 2)
     assert np.mean(errs) <= bound * 1.1
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+def test_additive_is_scale_invariant_where_squares_overflow(scale):
+    # squared norms overflow to inf (or underflow to 0) at these scales
+    A = lowrank_plus_noise(20, 15, 3, 0.2, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(5):
+            got = additive_sampling(A * scale, 8, seed=s)
+            want = additive_sampling(A / np.abs(A).max(), 8, seed=s)
+            assert plan_digest(got) == plan_digest(want)
 
 
 def test_additive_rejects_zero_matrix():
@@ -276,6 +290,23 @@ def test_barrier_dual_spectral_identity_upper_side():
         lo, _ = _sigma_range(V, plan)
         assert lo >= 1 - math.sqrt(k / r) - 1e-9
         assert plan.weights.max() <= 1 + math.sqrt(n / r) + 1e-9
+
+
+def test_identity_upper_side_is_not_checked_but_near_identities_are(monkeypatch):
+    checked = []
+    real = samplers._ortho_deviation
+    monkeypatch.setattr(samplers, "_ortho_deviation",
+                        lambda M: checked.append(M.shape) or real(M))
+    n, k, r = 120, 5, 20
+    V = random_orthonormal(n, k, seed=23)
+    plan = barrier_dual_spectral(V, np.eye(n), r)
+    assert checked == [(n, k)]  # V only: I_n needs no n^3 Gram product
+    assert plan_digest(plan) == plan_digest(
+        _plan_from_weights(_barrier_core(V, r, np.eye(n))))
+    for U in (2.0 * np.eye(n), np.eye(n) + 1e-3 * np.eye(n, k=1),
+              np.eye(n)[::-1] * np.r_[np.ones(n - 1), -2.0]):
+        with pytest.raises(ArgumentError, match="U must have orthonormal"):
+            barrier_dual_spectral(V, U, r)
 
 
 def test_barrier_dual_spectral_is_deterministic():
