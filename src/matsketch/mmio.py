@@ -1,13 +1,13 @@
 """Matrix file I/O: MatrixMarket (array and coordinate, real general)
 and headerless CSV.
 
-Each parser converts its whole body at once: one split into tokens, one
-pass of Python's ``float`` (and ``int`` for coordinate indices) into a
-NumPy array, one vectorized finiteness and range check. Only when that
-fails (a bad token, a non-finite value, a wrong width, count or index)
-is the body rescanned line by line, which reports the first error in
-file order with its line number. The accepted token set is Python's
-``float``/``int``, not a library reader's.
+The array and CSV parsers convert their whole body at once: one split
+into tokens, one pass of Python's ``float`` into a NumPy array, one
+vectorized finiteness check. Only when that fails (a bad token, a
+non-finite value, a wrong width or count) is the body rescanned line by
+line, which reports the first error in file order with its line number.
+Coordinate files are read line by line. The accepted token set is
+Python's ``float``/``int``, not a library reader's.
 """
 
 import math
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ArgumentError, DataFormatError
 
 _MM_MAGIC = "%%MatrixMarket"
-_HEAD_CHARS = 4096  # prefix searched for the header and size line first
+_HEAD_CHARS = 4096  # prefix first split in search of the size line
 
 
 def _real(tok, path, lineno):
@@ -53,26 +53,23 @@ def _is_data(ln):
 
 
 def _size_index(lines):
-    """Index of the first data line after the header, or None."""
+    """Index of the size line, the first data line after the header, or None."""
     return next((i for i in range(1, len(lines)) if _is_data(lines[i])), None)
 
 
-def _body_rows(text, k):
-    """Split data lines after line index k, one at a time; blank and comment
-    lines left out (a line's first token starts with % exactly when the
-    stripped line does). Lazy: a list of 10^5 live lists makes the cyclic
-    garbage collector rescan them over and over."""
-    return (p for p in map(str.split, text.splitlines()[k + 1:])
-            if p and p[0][0] != "%")
-
-
-def _body_tokens(text, head):
-    """Tokens after the size line, the last of the head lines."""
-    if text.count("%") == sum(ln.count("%") for ln in head):
-        # no comment line below the head: one split, minus the head's tokens
-        # (every line break splitlines knows is whitespace to split)
-        return text.split()[sum(len(ln.split()) for ln in head):]
-    return [t for p in _body_rows(text, len(head) - 1) for t in p]
+def _head(text, n=_HEAD_CHARS):
+    """The lines from the header through the size line; all lines when there
+    is no size line. Splits a prefix of n characters, doubled until the size
+    line is among its whole lines, instead of every line of a large body."""
+    while n < len(text):
+        lines = text[:n].splitlines()[:-1]  # the last line may be cut short
+        k = _size_index(lines)
+        if k is not None:
+            return lines[:k + 1]
+        n *= 2
+    lines = text.splitlines()
+    k = _size_index(lines)
+    return lines if k is None else lines[:k + 1]
 
 
 def _data_lines(text, k):
@@ -81,21 +78,24 @@ def _data_lines(text, k):
             if i > k and _is_data(ln)]
 
 
+def _body_tokens(text, head):
+    """Tokens of the data lines after the head, whose last line is the size line."""
+    if text.count("%") == sum(ln.count("%") for ln in head):
+        # no comment line below the size line: one split, minus the head's
+        # tokens (every line break splitlines knows is whitespace to split)
+        return text.split()[sum(len(ln.split()) for ln in head):]
+    # a line's first token starts with % exactly when the stripped line does
+    return [t for p in map(str.split, text.splitlines()[len(head):])
+            if p and p[0][0] != "%" for t in p]
+
+
 def _parse_matrixmarket(text, path):
-    # header and size line from a prefix of the text when it holds them; the
-    # prefix's last line may be cut short, so it is dropped
-    lines = text[:_HEAD_CHARS].splitlines()
-    if len(text) > _HEAD_CHARS:
-        lines.pop()
-    k = _size_index(lines)
-    if k is None and len(text) > _HEAD_CHARS:
-        lines = text.splitlines()
-        k = _size_index(lines)
-    if not lines or not lines[0].startswith(_MM_MAGIC):
+    head = _head(text)
+    if not head or not head[0].startswith(_MM_MAGIC):
         raise DataFormatError(f"{path}:1: missing {_MM_MAGIC} header")
-    toks = lines[0].split()
+    toks = head[0].split()
     if len(toks) != 5 or toks[1].lower() != "matrix":
-        raise DataFormatError(f"{path}:1: malformed header: {lines[0]!r}")
+        raise DataFormatError(f"{path}:1: malformed header: {head[0]!r}")
     layout, field, symmetry = (t.lower() for t in toks[2:])
     if layout not in ("array", "coordinate"):
         raise DataFormatError(f"{path}:1: unsupported layout {layout!r}")
@@ -105,9 +105,10 @@ def _parse_matrixmarket(text, path):
         raise DataFormatError(
             f"{path}:1: only 'general' symmetry supported, got {symmetry!r}")
 
-    if k is None:
+    k = len(head) - 1
+    if k == 0 or not _is_data(head[k]):
         raise DataFormatError(f"{path}: missing size line")
-    size_no, size_ln = k + 1, lines[k]
+    size_no, size_ln = k + 1, head[k]
     size_toks = size_ln.split()
 
     if layout == "array":
@@ -118,7 +119,7 @@ def _parse_matrixmarket(text, path):
         n = _int(size_toks[1], path, size_no, "column count")
         if m < 1 or n < 1:
             raise DataFormatError(f"{path}:{size_no}: dimensions must be positive")
-        v = _reals(_body_tokens(text, lines[:k + 1]))
+        v = _reals(_body_tokens(text, head))
         if v is None or v.size != m * n:
             return _array_by_line(text, path, k, m, n)
         # values run down each column in turn
@@ -133,41 +134,6 @@ def _parse_matrixmarket(text, path):
     nnz = _int(size_toks[2], path, size_no, "entry count")
     if m < 1 or n < 1 or nnz < 0:
         raise DataFormatError(f"{path}:{size_no}: bad dimensions/entry count")
-    body = _body_tokens(text, lines[:k + 1])
-    if len(body) == 3 * nnz and {len(p) for p in _body_rows(text, k)} <= {3}:
-        A = _coordinate_bulk(body, m, n, nnz)
-        if A is not None:
-            return A
-    return _coordinate_by_line(text, path, k, m, n, nnz)
-
-
-def _coordinate_bulk(toks, m, n, nnz):
-    """nnz entries 'i j value' summed into an m x n array, or None when an
-    index or value is bad."""
-    try:
-        i = np.fromiter(map(int, toks[0::3]), np.int64, nnz)
-        j = np.fromiter(map(int, toks[1::3]), np.int64, nnz)
-    except (ValueError, OverflowError):
-        return None
-    x = _reals(toks[2::3])
-    if x is None or not ((1 <= i) & (i <= m) & (1 <= j) & (j <= n)).all():
-        return None
-    A = np.zeros((m, n))
-    np.add.at(A, (i - 1, j - 1), x)  # unbuffered: duplicates sum in file order
-    return A
-
-
-def _array_by_line(text, path, k, m, n):
-    vals = []
-    for no, ln in _data_lines(text, k):
-        vals.extend(_real(t, path, no) for t in ln.split())
-    if len(vals) != m * n:
-        raise DataFormatError(
-            f"{path}: array body has {len(vals)} entries, expected {m * n}")
-    return np.array(vals).reshape((n, m)).T.copy()
-
-
-def _coordinate_by_line(text, path, k, m, n, nnz):
     entries = _data_lines(text, k)
     if len(entries) != nnz:
         raise DataFormatError(
@@ -185,6 +151,16 @@ def _coordinate_by_line(text, path, k, m, n, nnz):
                 f"{path}:{no}: index ({i},{j}) outside {m}x{n}")
         A[i - 1, j - 1] += _real(parts[2], path, no)
     return A
+
+
+def _array_by_line(text, path, k, m, n):
+    vals = []
+    for no, ln in _data_lines(text, k):
+        vals.extend(_real(t, path, no) for t in ln.split())
+    if len(vals) != m * n:
+        raise DataFormatError(
+            f"{path}: array body has {len(vals)} entries, expected {m * n}")
+    return np.array(vals).reshape((n, m)).T.copy()
 
 
 def _parse_csv(text, path):

@@ -33,7 +33,7 @@ def additive_sampling(A, r, seed=0):
         raise ArgumentError(f"need 1 <= r <= n={n}, got r={r}")
     with np.errstate(over="ignore"):
         sq = np.einsum("ij,ij->j", A, A)
-    total = sq.sum()
+        total = sq.sum()
     if not 0 < total < math.inf and A.any():
         # squares overflowed or underflowed; the distribution is
         # scale-invariant, so take it from A scaled to max |a_ij| = 1

@@ -65,9 +65,12 @@ def test_additive_rank_k_frobenius_bound_in_expectation():
     assert np.mean(errs) <= bound * 1.1
 
 
-@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** 508, 2.0 ** -600],
+                         ids=["2^600", "2^508", "2^-600"])
 def test_additive_is_scale_invariant_where_squares_overflow(scale):
-    # squared norms overflow to inf (or underflow to 0) at these scales
+    # squared norms overflow to inf (or underflow to 0) at 2^600 and 2^-600;
+    # at 2^508 every column's squared norm is finite and only their sum
+    # overflows
     A = lowrank_plus_noise(20, 15, 3, 0.2, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
