@@ -23,7 +23,7 @@ from .cx import (cssp, cx_frobenius, cx_spectral, interpolative_decomposition,
                  lower_bound_instance)
 from .errors import ArgumentError, MatsketchError
 from .kmeans import kmeans_cost, lloyd, reduce_features
-from .linalg import svd
+from .linalg import singular_values, spectral_norm
 from .mmio import load_matrix
 from .oracles import all_subset_errors
 from .regression import (RegressionProblem, build_coreset, coreset_size,
@@ -305,9 +305,9 @@ def _run_id(args):
     C, X, plan = interpolative_decomposition(A, args.k, seed=args.seed)
     k, n = args.k, A.shape[1]
     sel = plan.indices
-    s = svd(A).singular_values
+    s = singular_values(A)
     baseline = float(s[k]) if s.size > k else 0.0
-    err = float(np.linalg.norm(A - C @ X, 2))
+    err = spectral_norm(A - C @ X)
     bound = 4.0 * math.sqrt(4.0 * k * (n - k) + 1.0) * baseline
     xs = np.linalg.svd(X, compute_uv=False)
     return {
@@ -420,7 +420,7 @@ def _run_kmeans(args):
 
 def _run_sketch_svd(args):
     A, source, _ = _load_input(args)
-    s = svd(A).singular_values
+    s = singular_values(A)
     k = args.k
     trials = max(1, args.trials)
     seeds = _trial_seeds(args.seed, trials)
@@ -442,7 +442,7 @@ def _run_sketch_svd(args):
         basis = None
         for sd in seeds:
             basis = fast_spectral_svd(A, k, args.eps, seed=sd)
-            err = float(np.linalg.norm(A - (A @ basis.Z) @ basis.Z.T, 2))
+            err = spectral_norm(A - (A @ basis.Z) @ basis.Z.T)
             per.append({"algorithm_seed": sd, "error": err,
                         "ratio": _ratio(err, base)})
         mean_stat = _finite_mean([e["ratio"] for e in per])
@@ -475,7 +475,7 @@ def _run_lowerbound(args):
         raise ArgumentError(f"need 1 <= r < n, got r={r}, n={n}")
     A = lower_bound_instance(n, alpha)
     closed = (n + alpha ** 2) / (r + alpha ** 2)
-    s = svd(A).singular_values
+    s = singular_values(A)
     _, errs = all_subset_errors(A, r, "spectral")
     sq_ratios = (np.asarray(errs) / alpha) ** 2
     agrees = bool(np.max(np.abs(sq_ratios - closed)) <= 1e-9 * closed)

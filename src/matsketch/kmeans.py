@@ -15,7 +15,7 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd
 from .errors import ArgumentError
-from .linalg import apply_plan_columns, as_matrix, svd
+from .linalg import apply_plan_columns, as_matrix, singular_values
 from .samplers import subspace_sampling
 
 
@@ -151,7 +151,7 @@ def reduce_features(A, k, eps, method="select", c0=4.0, seed=0):
         raise ArgumentError(f"need c0 > 0, got {c0}")
     if not 2 <= k <= min(m, n):
         raise ArgumentError(f"need 2 <= k <= min(m,n), got k={k}")
-    if k >= svd(A).rank:
+    if k >= singular_values(A).size:
         raise ArgumentError(f"need k < rank(A), got k={k}")
     if method in ("select", "rp"):
         if not (0.0 < eps <= 1.0 / 3.0):

@@ -115,6 +115,64 @@ def svd(A):
     )
 
 
+def singular_values(A):
+    """The singular values `svd(A)` keeps, from one values-only LAPACK call."""
+    A = as_matrix(A)
+    try:
+        s = np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"svd failed to converge: {e}") from e
+    return s[s > rank_cutoff(s, A.shape)]
+
+
+def pow2_scaled(M):
+    """(M * 2^-e, e), e the frexp exponent of max |M| (0 for a zero M).
+
+    The rescale is exact and puts max |M| in [1/2, 1), so sums of squares
+    of the scaled entries neither overflow nor underflow.
+    """
+    M = np.asarray(M, dtype=float)
+    top = float(np.abs(M).max())
+    if top == 0.0:
+        return M, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(M, -e), e
+
+
+def _pow2_unscaled(x, e):
+    """x * 2^e as a float; inf where the result exceeds the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
+
+
+def frobenius_norm(M):
+    """||M||_F (of a vector: its 2-norm), safe at any finite scale.
+
+    Bit-identical to np.linalg.norm(M) wherever that neither overflows nor
+    underflows, since the power-of-two rescale commutes with every step.
+    """
+    S, e = pow2_scaled(M)
+    return _pow2_unscaled(np.linalg.norm(S), e)
+
+
+def spectral_norm(M):
+    """||M||_2 as sqrt(lambda_max) of the smaller Gram matrix of M.
+
+    One Gram product and one eigvalsh instead of an SVD. The eigenvalue
+    step adds a relative error of O(min(m, n) * eps); the Gram product's
+    rounding adds at most m times that in the worst case. M is first
+    rescaled exactly by a power of two, so the Gram entries neither
+    overflow nor underflow.
+    """
+    S, e = pow2_scaled(as_matrix(M, "M"))
+    G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
+    try:
+        lam = float(np.linalg.eigvalsh(G)[-1])
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"eigvalsh failed to converge: {err}") from err
+    return _pow2_unscaled(math.sqrt(max(lam, 0.0)), e)
+
+
 def pseudo_inverse(A):
     """Moore-Penrose pseudo-inverse via the rank-truncated SVD."""
     A = as_matrix(A)

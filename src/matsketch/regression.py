@@ -17,7 +17,8 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError, ConvergenceError, NumericError, RankError
-from .linalg import apply_plan_rows, as_matrix, as_vector, pseudo_inverse, svd
+from .linalg import (apply_plan_rows, as_matrix, as_vector, pseudo_inverse,
+                     singular_values, svd)
 from .samplers import _barrier_core, _plan_from_weights, subspace_sampling
 from .sketch import srht_rows
 
@@ -41,7 +42,7 @@ class RegressionProblem:
         if self.constraint not in _CONSTRAINTS:
             raise ArgumentError(
                 f"constraint must be one of {_CONSTRAINTS}, got {self.constraint!r}")
-        if svd(A).rank != n:
+        if singular_values(A).size != n:
             raise RankError(f"design matrix is rank-deficient (rank < {n})")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)

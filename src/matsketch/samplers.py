@@ -16,7 +16,7 @@ import scipy.linalg
 
 from . import rng
 from .errors import ArgumentError, InfeasibleStepError, NumericError, RankError
-from .linalg import SamplingPlan, as_matrix, rank_cutoff, svd
+from .linalg import SamplingPlan, as_matrix, pow2_scaled, rank_cutoff, svd
 
 _ORTHO_TOL = 1e-10
 _SCAN_BLOCK = 64  # rows in the first barrier scan block
@@ -31,15 +31,11 @@ def additive_sampling(A, r, seed=0):
     n = A.shape[1]
     if not (1 <= r <= n):
         raise ArgumentError(f"need 1 <= r <= n={n}, got r={r}")
-    with np.errstate(over="ignore"):
-        sq = np.einsum("ij,ij->j", A, A)
-        total = sq.sum()
-    if not 0 < total < math.inf and A.any():
-        # squares overflowed or underflowed; the distribution is
-        # scale-invariant, so take it from A scaled to max |a_ij| = 1
-        B = A / np.abs(A).max()
-        sq = np.einsum("ij,ij->j", B, B)
-        total = sq.sum()
+    # the law is scale-invariant: an exact power-of-two rescale keeps the
+    # squares finite and nonzero, and changes no bit where they already were
+    B, _ = pow2_scaled(A)
+    sq = np.einsum("ij,ij->j", B, B)
+    total = sq.sum()
     if total <= 0:
         raise ArgumentError("zero matrix: column probabilities undefined")
     gen = rng.stream(seed, rng.ADDITIVE)
@@ -61,16 +57,18 @@ def adaptive_sampling(A, C1, s, seed=0):
     if s < 1:
         raise ArgumentError(f"need s >= 1, got {s}")
     n = A.shape[1]
+    # same exact rescale as additive_sampling, for the squares below
+    B, _ = pow2_scaled(A)
     if C1.shape[1] == 0:
-        resid = A
+        resid = B
     else:
         Q = svd(C1).U
-        resid = A - Q @ (Q.T @ A)
+        resid = B - Q @ (Q.T @ B)
     sq = np.einsum("ij,ij->j", resid, resid)
     total = sq.sum()
-    fro2 = float(np.einsum("ij,ij->", A, A))
+    fro2 = float(np.einsum("ij,ij->", B, B))
     if total <= (1e-10 ** 2) * fro2 or total <= 0:
-        j = int(np.argmax(np.einsum("ij,ij->j", A, A)))
+        j = int(np.argmax(np.einsum("ij,ij->j", B, B)))
         return SamplingPlan(
             n, [(j, 1.0)] * int(s), with_replacement=True, note="degenerate-residual"
         )
@@ -359,7 +357,10 @@ def barrier_dual_frobenius(V, A_cols, r):
     if not (k < r <= n):
         raise ArgumentError(f"need k < r <= n, got k={k}, r={r}, n={n}")
     _check_orthonormal(V, "V")
-    c_sq = np.einsum("ij,ij->j", A_cols, A_cols)
+    # the walk reads only c_j / sum(c): an exact power-of-two rescale keeps
+    # the squares finite and nonzero and leaves those ratios bit-identical
+    S, _ = pow2_scaled(A_cols)
+    c_sq = np.einsum("ij,ij->j", S, S)
     return _plan_from_weights(_barrier_core(V, int(r), c_sq))
 
 

@@ -107,6 +107,61 @@ def test_deterministic_cx_skips_zero_columns():
         assert err <= res.bound_value
 
 
+_RUNS = {
+    "cx_spectral-deterministic": lambda A: cx_spectral(A, 3, 10),
+    "cx_spectral-fast": lambda A: cx_spectral(A, 3, 10, mode="fast", seed=2),
+    "cx_frobenius-deterministic": lambda A: cx_frobenius(A, 3, 10),
+    "cx_frobenius-fast": lambda A: cx_frobenius(A, 3, 10, mode="fast", seed=2),
+    "cx_frobenius-relative": lambda A: cx_frobenius(A, 3, 35, mode="relative",
+                                                    seed=2),
+    "cssp-spectral": lambda A: cssp(A, 3, mode="spectral", seed=2),
+    "cssp-frobenius": lambda A: cssp(A, 3, mode="frobenius", seed=2),
+    "cssp-two_stage": lambda A: cssp(A, 3, mode="two_stage", seed=2),
+    "cssp-two_stage-k1": lambda A: cssp(A, 1, mode="two_stage", seed=2),
+}
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+                         ids=["2^600", "2^-600"])
+@pytest.mark.parametrize("name", [
+    "cx_spectral-deterministic", "cx_frobenius-deterministic",
+    "cx_frobenius-fast", "cx_frobenius-relative", "cssp-frobenius"])
+def test_column_selection_is_scale_equivariant(name, scale):
+    # squared norms overflow to inf at 2^600 and underflow to 0 at 2^-600
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _RUNS[name](A * scale)
+    want = _RUNS[name](A)
+    # same picks; weights, errors and bounds move only by LAPACK's own
+    # internal rescaling of a badly scaled input
+    assert np.array_equal(got.plan.indices, want.plan.indices)
+    np.testing.assert_allclose(got.plan.weights, want.plan.weights, rtol=1e-12)
+    for field in ("rank_k_error_spectral", "rank_k_error_frobenius",
+                  "bound_value", "baseline_sigma"):
+        assert getattr(got, field) / scale == pytest.approx(
+            getattr(want, field), rel=1e-12), field
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_certification_takes_no_extra_full_svd(monkeypatch, name):
+    # only the modes that need V (deterministic, and two_stage at k=1)
+    # factor A; any other full-size SVD is the values-only baseline
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == A.shape:
+            calls.append(kwargs.get("compute_uv", True))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    _RUNS[name](A)
+    factors = name.endswith(("deterministic", "k1"))
+    assert calls == ([True] if factors else [False])
+
+
 def test_cx_frobenius_zero_error_on_rank_k_input():
     g = rand(3)
     A = g.normal(size=(14, 2)) @ g.normal(size=(2, 16))

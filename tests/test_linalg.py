@@ -7,6 +7,7 @@ from matsketch import (ArgumentError, SamplingPlan, apply_plan_columns,
                        apply_plan_rows, best_rank_k_in_subspace, boost_best,
                        cx_frobenius, lower_bound_instance, pseudo_inverse,
                        svd)
+from matsketch.linalg import frobenius_norm, singular_values, spectral_norm
 from matsketch.synthetic import lowrank_plus_noise, random_orthonormal
 
 from conftest import rand
@@ -50,6 +51,63 @@ def test_svd_factor_invariants():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ArgumentError):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# values-only kernels
+
+
+def test_singular_values_match_svd_cutoff():
+    g = rand(40)
+    for A in (g.normal(size=(30, 12)), g.normal(size=(12, 30)),
+              g.normal(size=(25, 3)) @ g.normal(size=(3, 20)),
+              np.diag([3.0, 1.0, 0.0, 0.0]), np.zeros((4, 3))):
+        want = svd(A).singular_values
+        got = singular_values(A)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_singular_values_reject_nonfinite():
+    with pytest.raises(ArgumentError):
+        singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def _norm_cases():
+    g = rand(41)
+    return {
+        "tall": g.normal(size=(50, 20)),
+        "wide": g.normal(size=(20, 50)),
+        "row": g.normal(size=(1, 30)),
+        "column": g.normal(size=(30, 1)),
+        "rank-1": np.outer(g.normal(size=40), g.normal(size=25)),
+        "graded": g.normal(size=(40, 30)) * np.logspace(0, -12, 30),
+    }
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
+                         ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("name", sorted(_norm_cases()))
+def test_spectral_norm_matches_svd_norm(name, scale):
+    M = _norm_cases()[name]
+    want = np.linalg.norm(M, 2)
+    got = spectral_norm(M * scale)
+    assert got / scale == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
+                         ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("name", sorted(_norm_cases()))
+def test_frobenius_norm_is_exact_under_power_of_two_scaling(name, scale):
+    # the rescale is exact, so the result is the unscaled norm times scale
+    M = _norm_cases()[name]
+    assert frobenius_norm(M * scale) == np.linalg.norm(M) * scale
+
+
+def test_norms_of_a_zero_matrix_are_zero():
+    for shape in [(3, 2), (2, 3), (1, 1)]:
+        assert spectral_norm(np.zeros(shape)) == 0.0
+        assert frobenius_norm(np.zeros(shape)) == 0.0
 
 
 # ---------------------------------------------------------------------------

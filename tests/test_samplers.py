@@ -117,6 +117,33 @@ def test_adaptive_picks_only_residual_columns():
     assert set(plan.indices) <= {3, 4, 5}
 
 
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+                         ids=["2^600", "2^-600"])
+def test_adaptive_is_scale_invariant(scale):
+    # squared norms overflow to inf (or underflow to 0); either used to look
+    # like a covered span and returned the degenerate plan
+    A = lowrank_plus_noise(40, 30, 3, 0.2, seed=9)
+    C1 = A[:, :4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(5):
+            got = adaptive_sampling(A * scale, C1 * scale, 12, seed=s)
+            want = adaptive_sampling(A, C1, 12, seed=s)
+            assert got.note == want.note == ""
+            assert plan_digest(got) == plan_digest(want)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600],
+                         ids=["2^600", "2^-600"])
+def test_barrier_frobenius_is_scale_invariant(scale):
+    V = random_orthonormal(100, 3, seed=22)
+    A_cols = rand(23).normal(size=(5, 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = barrier_dual_frobenius(V, A_cols * scale, 12)
+    assert plan_digest(got) == plan_digest(barrier_dual_frobenius(V, A_cols, 12))
+
+
 # ---------------------------------------------------------------------------
 # subspace_sampling
 
