@@ -3,6 +3,7 @@
 These replace the exact SVD inside the composite selection algorithms: a
 Gaussian sketch of the row space (Frobenius flavor) or a power-iterated
 sketch (spectral flavor), followed by the restricted best rank-k step.
+Both divide A by a power of two first, so 2^j A gives the same Z as A.
 """
 
 import math
@@ -12,10 +13,9 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError
-from .linalg import as_matrix, best_rank_k_in_subspace
+from .linalg import (_subspace_factors, as_matrix, best_rank_k_in_subspace,
+                     pow2_scaled)
 from .sketch import srht_rows
-
-_E = math.e
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def fast_frobenius_svd(A, k, eps, seed=0):
     Z = right singular vectors of (Q^T A)_k for Q an orthonormal basis of
     Y. Satisfies E ||A - A Z Z^T||_F^2 <= (1 + eps) ||A - A_k||_F^2.
     """
-    A = as_matrix(A)
+    A, _ = pow2_scaled(as_matrix(A))
     _validate_k(A, k)
     if not (0 < eps < 1):
         raise ArgumentError(f"need 0 < eps < 1, got {eps}")
@@ -63,8 +63,8 @@ def fast_frobenius_svd(A, k, eps, seed=0):
     r = k + p
     gen = rng.stream(seed, rng.FAST_SVD, 0)
     Y = A @ gen.standard_normal((A.shape[1], r))
-    _, Z = best_rank_k_in_subspace(A, Y, k)
-    Z = _complete_columns(A, Z, k, seed)
+    Z = _complete_columns(
+        A, np.ascontiguousarray(_subspace_factors(A, Y, k)[2].T), k, seed)
     return ApproxBasis(Z=Z, k=int(k), seed=int(seed), method="fast-frobenius",
                        oversample=p, power=0)
 
@@ -73,17 +73,24 @@ def spectral_power_exponent(m, n, k, eps):
     """Smallest q >= 1 making the power-iterated sketch (sqrt(2)+eps)-accurate.
 
     Chosen by directly enforcing (1 + sqrt(k/(p-1)) + e sqrt(k+p)/p *
-    sqrt(min(m,n) - k))^(1/(2q+1)) <= 1 + eps/sqrt(2) with p = k.
+    sqrt(min(m,n) - k))^(1/(2q+1)) <= 1 + eps/sqrt(2) with p = k, found by
+    doubling and bisection (the test only gets easier as q grows).
     """
-    p = k
-    base = 1.0 + math.sqrt(k / (p - 1)) + (_E * math.sqrt(k + p) / p) * math.sqrt(
-        max(min(m, n) - k, 0)
-    )
+    if k < 2:
+        raise ArgumentError(f"need k >= 2 for p = k oversampling, got k={k}")
     target = 1.0 + eps / math.sqrt(2.0)
-    q = 1
-    while base ** (1.0 / (2 * q + 1)) > target:
-        q += 1
-    return q
+    if not target > 1.0:
+        raise ArgumentError(f"need 1 + eps/sqrt(2) > 1 in floats, got eps={eps}")
+    p = k
+    base = 1.0 + math.sqrt(k / (p - 1)) \
+        + (math.e * math.sqrt(k + p) / p) * math.sqrt(max(min(m, n) - k, 0))
+    lo, hi = 0, 1  # the test fails at lo (or lo = 0) and holds at hi
+    while base ** (1.0 / (2 * hi + 1)) > target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if base ** (1.0 / (2 * mid + 1)) > target else (lo, mid)
+    return hi
 
 
 def fast_spectral_svd(A, k, eps, seed=0):
@@ -95,7 +102,7 @@ def fast_spectral_svd(A, k, eps, seed=0):
     The iterate is re-orthonormalized (QR) after every application of
     A A^T; that leaves the span unchanged and stops float underflow.
     """
-    A = as_matrix(A)
+    A, _ = pow2_scaled(as_matrix(A))
     _validate_k(A, k)
     if not (0 < eps < 1 or eps == 1):
         raise ArgumentError(f"need 0 < eps <= 1, got {eps}")
@@ -107,8 +114,8 @@ def fast_spectral_svd(A, k, eps, seed=0):
     for _ in range(q):
         Y = A @ (A.T @ Y)
         Y, _ = np.linalg.qr(Y)
-    _, Z = best_rank_k_in_subspace(A, Y, k)
-    Z = _complete_columns(A, Z, k, seed)
+    Z = _complete_columns(
+        A, np.ascontiguousarray(_subspace_factors(A, Y, k)[2].T), k, seed)
     return ApproxBasis(Z=Z, k=int(k), seed=int(seed), method="fast-spectral",
                        oversample=k, power=q)
 

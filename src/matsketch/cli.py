@@ -23,14 +23,13 @@ from .cx import (cssp, cx_frobenius, cx_spectral, interpolative_decomposition,
                  lower_bound_instance)
 from .errors import ArgumentError, MatsketchError
 from .kmeans import kmeans_cost, lloyd, reduce_features
-from .linalg import singular_values, spectral_norm
+from .linalg import (_baselines, _pow2_exponent, _ratio, _within,
+                     frobenius_norm, singular_values, spectral_norm)
 from .mmio import load_matrix
 from .oracles import all_subset_errors
 from .regression import (RegressionProblem, build_coreset, coreset_size,
                          evaluate_coreset)
 from .synthetic import blobs, lowrank_plus_noise
-
-_RATIO_FLOOR = 1e-24
 
 
 def _default_seed():
@@ -163,12 +162,6 @@ def _load_input(args):
     raise ArgumentError("no input: pass --in PATH or --synthetic SPEC")
 
 
-def _ratio(num, den):
-    if den > _RATIO_FLOOR:
-        return num / den
-    return 1.0 if num <= _RATIO_FLOOR else float("inf")
-
-
 def _finite_mean(xs):
     xs = [x for x in xs if x is not None and math.isfinite(x)]
     return sum(xs) / len(xs) if xs else None
@@ -219,24 +212,23 @@ def _trial_seeds(seed, trials):
 
 def _run_cx(args):
     A, source, _ = _load_input(args)
+    ex = _pow2_exponent(A)
     fn = cx_spectral if args.norm == "spectral" else cx_frobenius
     deterministic = args.mode == "deterministic"
     trials = 1 if deterministic else max(1, args.trials)
     seeds = [args.seed] if deterministic else _trial_seeds(args.seed, trials)
-    per, res = [], None
+    per = []
     for s in seeds:
         res = fn(A, args.k, args.r, mode=args.mode, seed=s)
         err = (res.rank_k_error_spectral if args.norm == "spectral"
                else res.rank_k_error_frobenius)
-        entry = {"algorithm_seed": "deterministic" if deterministic else s,
-                 "error": err, "ratio": _ratio(err, res.baseline_sigma),
-                 "columns_picked": len(res.plan)}
-        per.append(entry)
+        per.append({"algorithm_seed": "deterministic" if deterministic else s,
+                    "error": err, "ratio": _ratio(err, res.baseline_sigma, ex),
+                    "columns_picked": len(res.plan)})
     errs = [e["error"] for e in per]
     mean_err = sum(errs) / len(errs)
-    tol = 1e-9 * (1.0 + res.bound_value)
-    satisfied = (all(e <= res.bound_value + tol for e in errs) if deterministic
-                 else mean_err <= res.bound_value + tol)
+    satisfied = all(_within(x, res.bound_value, ex)
+                    for x in (errs if deterministic else [mean_err]))
     return {
         "algorithm": fn.__name__,
         "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
@@ -250,9 +242,7 @@ def _run_cx(args):
             "baseline": res.baseline_sigma,
             "mean_error": mean_err,
             "mean_ratio": _finite_mean([e["ratio"] for e in per]),
-            "mean_sq_ratio": _finite_mean(
-                [e["ratio"] ** 2 for e in per
-                 if e["ratio"] is not None and math.isfinite(e["ratio"])]),
+            "mean_sq_ratio": _finite_mean([e["ratio"] ** 2 for e in per]),
             "satisfied": bool(satisfied),
             "per_trial": per,
         },
@@ -261,6 +251,7 @@ def _run_cx(args):
 
 def _run_cssp(args):
     A, source, _ = _load_input(args)
+    ex = _pow2_exponent(A)
     trials = max(1, args.trials)
     seeds = _trial_seeds(args.seed, trials)
     per = []
@@ -272,15 +263,14 @@ def _run_cssp(args):
             per.append({"algorithm_seed": s,
                         "failed": f"{type(e).__name__}: {e}"})
             continue
-        bound_value, bound_formula = res.bound_value, res.bound_formula
-        baseline = res.baseline_sigma
+        bound_value, bound_formula, baseline = (
+            res.bound_value, res.bound_formula, res.baseline_sigma)
         err = (res.rank_k_error_spectral if res.norm == "spectral"
                else res.rank_k_error_frobenius)
         per.append({"algorithm_seed": s, "error": err,
-                    "ratio": _ratio(err, res.baseline_sigma),
+                    "ratio": _ratio(err, res.baseline_sigma, ex),
                     "columns": res.plan.indices.tolist(),
-                    "satisfied": bool(err <= res.bound_value
-                                      + 1e-9 * (1.0 + res.bound_value))})
+                    "satisfied": _within(err, res.bound_value, ex)})
     ok = [e for e in per if e.get("satisfied")]
     errs = [e["error"] for e in per if "error" in e]
     return {
@@ -305,8 +295,7 @@ def _run_id(args):
     C, X, plan = interpolative_decomposition(A, args.k, seed=args.seed)
     k, n = args.k, A.shape[1]
     sel = plan.indices
-    s = singular_values(A)
-    baseline = float(s[k]) if s.size > k else 0.0
+    baseline, _ = _baselines(singular_values(A), k)
     err = spectral_norm(A - C @ X)
     bound = 4.0 * math.sqrt(4.0 * k * (n - k) + 1.0) * baseline
     xs = np.linalg.svd(X, compute_uv=False)
@@ -326,7 +315,7 @@ def _run_id(args):
             "bound_value": bound,
             "bound_formula": "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}",
             "baseline": baseline,
-            "ratio": _ratio(err, baseline),
+            "ratio": _ratio(err, baseline, _pow2_exponent(A)),
         },
     }
 
@@ -367,8 +356,7 @@ def _run_coreset(args):
             "ratio": rep["ratio"],
             "rows": rep["coreset_rows"],
             "distinct_rows": rep["distinct_rows"],
-            "satisfied": bool(rep["ratio_finite"]
-                              and rep["ratio"] <= 1.0 + args.eps + 1e-9),
+            "satisfied": _within(rep["ratio"], 1.0 + args.eps),
             "full_solve_seconds": rep["full_solve_seconds"],
             "coreset_solve_seconds": rep["coreset_solve_seconds"],
         })
@@ -409,7 +397,7 @@ def _run_kmeans(args):
             "reduced_width": int(C.shape[1]),
             "cost_full_features": cost_full,
             "cost_reduced_features_on_full": cost_red,
-            "ratio": _ratio(cost_red, cost_full),
+            "ratio": _ratio(cost_red, cost_full, 2 * _pow2_exponent(A)),
             "note": "inner clusterer is uncertified Lloyd; ratio is an "
                     "empirical surrogate, not a theorem constant",
             "cluster_sizes_full": list(base.sizes),
@@ -420,36 +408,25 @@ def _run_kmeans(args):
 
 def _run_sketch_svd(args):
     A, source, _ = _load_input(args)
-    s = singular_values(A)
-    k = args.k
+    ex = _pow2_exponent(A)
+    k, frob = args.k, args.mode == "frobenius"
+    sigma, tail = _baselines(singular_values(A), k)
+    fn, norm, base, key = ((fast_frobenius_svd, frobenius_norm, tail, "sq_ratio")
+                           if frob else
+                           (fast_spectral_svd, spectral_norm, sigma, "ratio"))
     trials = max(1, args.trials)
-    seeds = _trial_seeds(args.seed, trials)
     per = []
-    if args.mode == "frobenius":
-        base = float(np.linalg.norm(s[k:])) if s.size > k else 0.0
-        bound_factor, formula = 1.0 + args.eps, "E: (1+eps)*||A-A_k||_F^2"
-        power = 0
-        for sd in seeds:
-            Z = fast_frobenius_svd(A, k, args.eps, seed=sd).Z
-            err = float(np.linalg.norm(A - (A @ Z) @ Z.T))
-            per.append({"algorithm_seed": sd, "error": err,
-                        "sq_ratio": _ratio(err ** 2, base ** 2)})
-        mean_stat = _finite_mean([e["sq_ratio"] for e in per])
-    else:
-        base = float(s[k]) if s.size > k else 0.0
-        bound_factor = math.sqrt(2.0) + args.eps
-        formula = "E: (sqrt(2)+eps)*sigma_{k+1}"
-        basis = None
-        for sd in seeds:
-            basis = fast_spectral_svd(A, k, args.eps, seed=sd)
-            err = spectral_norm(A - (A @ basis.Z) @ basis.Z.T)
-            per.append({"algorithm_seed": sd, "error": err,
-                        "ratio": _ratio(err, base)})
-        mean_stat = _finite_mean([e["ratio"] for e in per])
-        power = basis.power
+    for sd in _trial_seeds(args.seed, trials):
+        basis = fn(A, k, args.eps, seed=sd)
+        err = norm(A - (A @ basis.Z) @ basis.Z.T)
+        per.append({"algorithm_seed": sd, "error": err,
+                    key: _ratio(err, base, ex, 2 if frob else 1)})
+    mean_stat = _finite_mean([e[key] for e in per])
+    bound_factor, formula = (
+        (1.0 + args.eps, "E: (1+eps)*||A-A_k||_F^2") if frob
+        else (math.sqrt(2.0) + args.eps, "E: (sqrt(2)+eps)*sigma_{k+1}"))
     return {
-        "algorithm": ("fast_frobenius_svd" if args.mode == "frobenius"
-                      else "fast_spectral_svd"),
+        "algorithm": fn.__name__,
         "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
                   "seed": args.seed},
         "params": {"k": k, "eps": args.eps, "mode": args.mode,
@@ -458,12 +435,12 @@ def _run_sketch_svd(args):
             "baseline": base,
             "bound_value": bound_factor,
             "bound_formula": formula,
-            "power_iterations": power,
+            "power_iterations": basis.power,
             "mean_stat": mean_stat,
-            "stat_kind": ("mean squared Frobenius ratio"
-                          if args.mode == "frobenius" else "mean spectral ratio"),
-            "satisfied": bool(mean_stat is not None
-                              and mean_stat <= bound_factor + 1e-9),
+            "stat_kind": ("mean squared Frobenius ratio" if frob
+                          else "mean spectral ratio"),
+            "satisfied": (mean_stat is not None
+                          and _within(mean_stat, bound_factor)),
             "per_trial": per,
         },
     }

@@ -8,14 +8,14 @@ exact optima over span(C); spectral errors use the same restricted
 factorization, which is within sqrt(2) of the spectral optimum, and the
 per-instance spectral bounds already include that factor.
 
-Certification takes no dense SVD beyond the one a deterministic mode needs
-for its right singular vectors. Baselines come from a values-only SVD. The
-measured spectral error is sqrt(lambda_max) of the smaller Gram matrix of
-the residual (linalg.spectral_norm): O(min(m, n) * eps) relative from the
-eigenvalue step plus the Gram product's rounding, and within 2e-15 of the
-SVD value on 1000 x 600 residuals. Both errors and the Frobenius baseline
-are taken after an exact power-of-two rescale, so they neither overflow
-nor underflow at any finite scale of A.
+Selection and certification are apart: each mode picks its columns and
+names its bound constant; `_certify` reads the baseline from A's singular
+values (linalg._baselines), scales it by the constant, and measures both
+errors. The spectral error is sqrt(lambda_max) of the smaller Gram matrix
+of the residual (linalg.spectral_norm), within 2e-15 of the SVD value on
+1000 x 600 residuals. Errors and baselines are taken after exact
+power-of-two rescales, so they neither overflow nor underflow at any
+finite scale of A, and 2^j A gives 2^j times the numbers of A.
 """
 
 import math
@@ -27,8 +27,8 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .errors import ArgumentError
-from .linalg import (SamplingPlan, apply_plan_columns, as_matrix,
-                     best_rank_k_in_subspace, frobenius_norm,
+from .linalg import (SamplingPlan, _baselines, apply_plan_columns,
+                     as_matrix, best_rank_k_in_subspace, frobenius_norm,
                      singular_values, spectral_norm, svd)
 from .samplers import (adaptive_sampling, barrier_dual_frobenius,
                        barrier_dual_spectral, barrier_single, rrqr_select,
@@ -47,36 +47,30 @@ class CxResult:
     bound_formula: str
 
 
-def _baselines(s, k):
-    """(sigma_{k+1}, ||A - A_k||_F) from the singular value list."""
-    tail = s[k:]
-    if tail.size == 0:
-        return 0.0, 0.0
-    return float(tail[0]), frobenius_norm(tail)
-
-
-def _measure(A, C, k):
+def _certify(A, k, plan, norm, const, formula, s=None):
+    """Measure the plan's rank-k errors and certify const * baseline, the
+    baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from A's singular
+    values s, or from one values-only SVD when the caller holds none."""
+    sig, tail = _baselines(singular_values(A) if s is None else s, k)
+    baseline = sig if norm == "spectral" else tail
+    C = apply_plan_columns(A, plan)
     approx, _ = best_rank_k_in_subspace(A, C, k)
     R = A - approx
-    return spectral_norm(R), frobenius_norm(R)
-
-
-def _result(A, k, plan, bound_value, baseline, norm, formula):
-    C = apply_plan_columns(A, plan)
-    err_s, err_f = _measure(A, C, k)
-    return CxResult(plan=plan, C=C, rank_k_error_spectral=err_s,
-                    rank_k_error_frobenius=err_f,
-                    bound_value=float(bound_value),
+    return CxResult(plan=plan, C=C, rank_k_error_spectral=spectral_norm(R),
+                    rank_k_error_frobenius=frobenius_norm(R),
+                    bound_value=float(const * baseline),
                     baseline_sigma=float(baseline), norm=norm,
                     bound_formula=formula)
 
 
 def _check_kr(A, k, r, min_k):
+    """Validate k and r; returns the barrier shrink 1 - sqrt(k/r)."""
     m, n = A.shape
     if not (min_k <= k <= min(m, n)):
         raise ArgumentError(f"need {min_k} <= k <= min(m,n)={min(m, n)}, got k={k}")
     if not (k < r <= n):
         raise ArgumentError(f"need k < r <= n, got k={k}, r={r}, n={n}")
+    return 1.0 - math.sqrt(k / r)
 
 
 def cx_spectral(A, k, r, mode="deterministic", seed=0):
@@ -93,13 +87,11 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
     A = as_matrix(A)
     n = A.shape[1]
     if mode == "deterministic":
-        _check_kr(A, k, r, 1)
-        shrink = 1.0 - math.sqrt(k / r)
+        shrink = _check_kr(A, k, r, 1)
         f = svd(A)
         rho = f.rank
         if k > rho:
             raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
-        sig1, _ = _baselines(f.singular_values, k)
         if rho > k:
             plan = barrier_dual_spectral(f.V[:, :k], f.V[:, k:], r)
             const = 1.0 + (1.0 + math.sqrt((rho - k) / r)) / shrink
@@ -107,18 +99,16 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
             # nothing outside the top subspace; a single-set run suffices
             plan = barrier_single(f.V, r)
             const = 1.0 + 1.0 / shrink
-        bound = math.sqrt(2.0) * const * sig1
         formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
-        return _result(A, k, plan, bound, sig1, "spectral", formula)
+        return _certify(A, k, plan, "spectral", math.sqrt(2.0) * const,
+                        formula, f.singular_values)
     if mode == "fast":
-        _check_kr(A, k, r, 2)
-        shrink = 1.0 - math.sqrt(k / r)
+        shrink = _check_kr(A, k, r, 2)
         basis = fast_spectral_svd(A, k, 1, seed=seed)
         plan = barrier_dual_spectral(basis.Z, np.eye(n), r)
-        sig1, _ = _baselines(singular_values(A), k)
         const = (math.sqrt(2.0) + 1.0) * (1.0 + (1.0 + math.sqrt(n / r)) / shrink)
         formula = "E: (sqrt(2)+1)*(1+(1+sqrt(n/r))/(1-sqrt(k/r)))*sigma_{k+1}"
-        return _result(A, k, plan, const * sig1, sig1, "spectral", formula)
+        return _certify(A, k, plan, "spectral", const, formula)
     raise ArgumentError(f"unknown mode {mode!r} (expected deterministic|fast)")
 
 
@@ -134,26 +124,23 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
     """
     A = as_matrix(A)
     if mode == "deterministic":
-        _check_kr(A, k, r, 1)
-        shrink = 1.0 - math.sqrt(k / r)
+        shrink = _check_kr(A, k, r, 1)
         f = svd(A)
         if k > f.rank:
             raise ArgumentError(f"k={k} exceeds rank(A)={f.rank}")
         Vk = f.V[:, :k]
-        _, base_f = _baselines(f.singular_values, k)
         plan = barrier_dual_frobenius(Vk, A - (A @ Vk) @ Vk.T, r)
-        bound = math.sqrt(1.0 + 1.0 / shrink ** 2) * base_f
-        formula = "sqrt(1+1/(1-sqrt(k/r))^2)*||A-A_k||_F"
-        return _result(A, k, plan, bound, base_f, "frobenius", formula)
+        return _certify(A, k, plan, "frobenius",
+                        math.sqrt(1.0 + 1.0 / shrink ** 2),
+                        "sqrt(1+1/(1-sqrt(k/r))^2)*||A-A_k||_F",
+                        f.singular_values)
     if mode == "fast":
-        _check_kr(A, k, r, 2)
-        shrink = 1.0 - math.sqrt(k / r)
+        shrink = _check_kr(A, k, r, 2)
         Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
         plan = barrier_dual_frobenius(Z, A - (A @ Z) @ Z.T, r)
-        _, base_f = _baselines(singular_values(A), k)
-        bound = math.sqrt(1.1 * (1.0 + 1.0 / shrink ** 2)) * base_f
-        formula = "E: sqrt(1.1+1.1/(1-sqrt(k/r))^2)*||A-A_k||_F"
-        return _result(A, k, plan, bound, base_f, "frobenius", formula)
+        return _certify(A, k, plan, "frobenius",
+                        math.sqrt(1.1 * (1.0 + 1.0 / shrink ** 2)),
+                        "E: sqrt(1.1+1.1/(1-sqrt(k/r))^2)*||A-A_k||_F")
     if mode == "relative":
         n = A.shape[1]
         if not (2 <= k <= min(A.shape)):
@@ -173,10 +160,9 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
         picks = tuple(plan1.picks) + tuple(plan2.picks)
         plan = SamplingPlan(source_dim=n, picks=picks, with_replacement=True,
                             note="barrier+adaptive")
-        _, base_f = _baselines(singular_values(A), k)
-        bound = math.sqrt(1.0 + 6.0 * k / (r - 4 * k)) * base_f
-        formula = "E^2: (1+6k/(r-4k))*||A-A_k||_F^2"
-        return _result(A, k, plan, bound, base_f, "frobenius", formula)
+        return _certify(A, k, plan, "frobenius",
+                        math.sqrt(1.0 + 6.0 * k / (r - 4 * k)),
+                        "E^2: (1+6k/(r-4k))*||A-A_k||_F^2")
     raise ArgumentError(
         f"unknown mode {mode!r} (expected deterministic|fast|relative)")
 
@@ -201,12 +187,10 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         raise ArgumentError(f"need k < n to have columns to reject, got k={k}, n={n}")
     if mode == "spectral":
         Z = fast_spectral_svd(A, k, 0.5, seed=seed).Z
-        sel = rrqr_select(Z)
-        bound_const = 4.0 * math.sqrt(4.0 * k * (n - k) + 1.0)
-        base, _ = _baselines(singular_values(A), k)
-        formula = "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}"
-        norm = "spectral"
-    elif mode == "frobenius":
+        return _certify(A, k, rrqr_select(Z), "spectral",
+                        4.0 * math.sqrt(4.0 * k * (n - k) + 1.0),
+                        "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}")
+    if mode == "frobenius":
         Z = fast_frobenius_svd(A, k, 0.5, seed=seed).Z
         plan1 = barrier_dual_frobenius(Z, A - (A @ Z) @ Z.T, 4 * k)
         X = plan1.weights[:, None] * Z[plan1.indices]
@@ -214,19 +198,15 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         sel = SamplingPlan(source_dim=n,
                            picks=tuple((int(plan1.indices[j]), 1.0)
                                        for j in inner.indices))
-        bound_const = 9.0 * k
-        _, base = _baselines(singular_values(A), k)
-        formula = "E: 9k*||A-A_k||_F"
-        norm = "frobenius"
-    elif mode == "two_stage":
+        return _certify(A, k, sel, "frobenius", 9.0 * k, "E: 9k*||A-A_k||_F")
+    if mode == "two_stage":
         if not (0.0 < delta < 1.0):
             raise ArgumentError(f"need 0 < delta < 1, got {delta}")
         if k == 1:
             f = svd(A)
             Z, s = f.V[:, :1], f.singular_values
         else:
-            Z = fast_frobenius_svd(A, k, 0.5, seed=seed).Z
-            s = singular_values(A)
+            Z, s = fast_frobenius_svd(A, k, 0.5, seed=seed).Z, None
         r1 = math.ceil(8.0 * k * math.log(2.0 * k / delta))
         plan1 = subspace_sampling(Z, 1.0, max(r1, k),
                                   seed=rng.derive_seed(seed, rng.CSSP, 0))
@@ -235,14 +215,12 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         sel = SamplingPlan(source_dim=n,
                            picks=tuple(sorted((int(plan1.indices[j]), 1.0)
                                               for j in inner.indices)))
-        bound_const = 26.0 * k * math.sqrt(math.log(2.0 * k / delta)) / delta
-        _, base = _baselines(s, k)
-        formula = "w.p. 1-3delta: 26k*sqrt(ln(2k/delta))/delta*||A-A_k||_F"
-        norm = "frobenius"
-    else:
-        raise ArgumentError(
-            f"unknown mode {mode!r} (expected spectral|frobenius|two_stage)")
-    return _result(A, k, sel, bound_const * base, base, norm, formula)
+        return _certify(
+            A, k, sel, "frobenius",
+            26.0 * k * math.sqrt(math.log(2.0 * k / delta)) / delta,
+            "w.p. 1-3delta: 26k*sqrt(ln(2k/delta))/delta*||A-A_k||_F", s)
+    raise ArgumentError(
+        f"unknown mode {mode!r} (expected spectral|frobenius|two_stage)")
 
 
 def interpolative_decomposition(A, k, seed=0):

@@ -96,20 +96,32 @@ class SamplingPlan:
         return len(self.picks)
 
 
+def _svd(A, compute_uv):
+    """np.linalg.svd of A / 2^e as (U, s, Vt, e): 2^j A gives A's factors
+    and 2^j s. LAPACK rescales max |A| outside [2^-459, 2^459] itself, not
+    by a power of two, so an A with |e| > 400 is divided by 2^e first; any
+    other is passed as it is (e = 0), where LAPACK commutes with 2^j."""
+    S = as_matrix(A)
+    e = _pow2_exponent(S)
+    e = e if abs(e) > 400 else 0
+    S = np.ldexp(S, -e) if e else S
+    try:
+        out = np.linalg.svd(S, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"svd failed to converge: {err}") from err
+    return (out + (e,)) if compute_uv else (None, out, None, e)
+
+
 def svd(A):
     """Thin SVD with the numerical-rank cutoff applied.
 
     Raises NumericError if the LAPACK kernel fails to converge.
     """
-    A = as_matrix(A)
-    try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"svd failed to converge: {e}") from e
-    rho = int(np.sum(s > rank_cutoff(s, A.shape)))
+    U, s, Vt, e = _svd(A, True)
+    rho = int(np.sum(s > rank_cutoff(s, U.shape[:1] + Vt.shape[1:])))
     return SvdFactors(
         U=np.ascontiguousarray(U[:, :rho]),
-        singular_values=s[:rho].copy(),
+        singular_values=np.ldexp(s[:rho], e),
         V=np.ascontiguousarray(Vt[:rho].T),
         rank=rho,
     )
@@ -117,25 +129,25 @@ def svd(A):
 
 def singular_values(A):
     """The singular values `svd(A)` keeps, from one values-only LAPACK call."""
-    A = as_matrix(A)
-    try:
-        s = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"svd failed to converge: {e}") from e
-    return s[s > rank_cutoff(s, A.shape)]
+    _, s, _, e = _svd(A, False)
+    return np.ldexp(s[s > rank_cutoff(s, np.shape(A))], e)
+
+
+def _pow2_exponent(*arrays):
+    """e with max |entry| / 2^e in [1/2, 1) over the arrays (0 if all zero),
+    read from max and min, so no |M| temporary is formed."""
+    return math.frexp(max(max(float(np.max(M)), -float(np.min(M)))
+                          for M in arrays))[1]
 
 
 def pow2_scaled(M):
-    """(M * 2^-e, e), e the frexp exponent of max |M| (0 for a zero M).
+    """(M * 2^-e, e), e = _pow2_exponent(M).
 
     The rescale is exact and puts max |M| in [1/2, 1), so sums of squares
     of the scaled entries neither overflow nor underflow.
     """
     M = np.asarray(M, dtype=float)
-    top = float(np.abs(M).max())
-    if top == 0.0:
-        return M, 0
-    e = math.frexp(top)[1]
+    e = _pow2_exponent(M)
     return np.ldexp(M, -e), e
 
 
@@ -143,6 +155,29 @@ def _pow2_unscaled(x, e):
     """x * 2^e as a float; inf where the result exceeds the float range."""
     with np.errstate(over="ignore"):
         return float(np.ldexp(x, e))
+
+
+def _baselines(s, k):
+    """(sigma_{k+1}, ||A - A_k||_F) from A's singular value list."""
+    tail = s[k:]
+    return (float(tail[0]), frobenius_norm(tail)) if tail.size else (0.0, 0.0)
+
+
+def _ratio(num, den, e, power=1):
+    """(num / den)^power, measured over optimal, both first divided by 2^e,
+    e = _pow2_exponent(input): exact, and the same at any scale of the
+    input. A rescaled den^power <= 1e-24 counts as zero; the ratio is then
+    1.0 if num^power is zero too by that rule, else inf."""
+    num, den = math.ldexp(num, -e) ** power, math.ldexp(den, -e) ** power
+    if den > 1e-24:
+        return num / den
+    return 1.0 if num <= 1e-24 else math.inf
+
+
+def _within(value, bound, e=0):
+    """value <= bound up to float slop 1e-9 * (1 + bound), both divided by 2^e."""
+    value, bound = math.ldexp(value, -e), math.ldexp(bound, -e)
+    return value <= bound + 1e-9 * (1.0 + bound)
 
 
 def frobenius_norm(M):
@@ -206,6 +241,23 @@ def apply_plan_rows(A, plan):
     return A[plan.indices] * plan.weights[:, None]
 
 
+def _subspace_factors(A, C, k):
+    """(Q, W, Vt) with Q W Vt = Q (Q^T A)_k, Q an orthonormal basis of
+    col(C); callers that need only Vt never form the m x n product."""
+    A = as_matrix(A)
+    C = as_matrix(C, "C")
+    if C.shape[0] != A.shape[0]:
+        raise ArgumentError("C.rows must equal A.rows")
+    if not (1 <= k <= C.shape[1]):
+        raise ArgumentError(f"need 1 <= k <= C.cols, got k={k}, C.cols={C.shape[1]}")
+    Q = orth_basis(C)
+    if Q.shape[1] == 0:
+        return Q, np.zeros((0, 0)), np.zeros((0, A.shape[1]))
+    Ub, sb, Vbt, e = _svd(Q.T @ A, True)
+    t = min(k, len(sb))
+    return Q, Ub[:, :t] * np.ldexp(sb[:t], e), Vbt[:t]
+
+
 def best_rank_k_in_subspace(A, C, k):
     """Best Frobenius rank-k approximation of A inside the column space of C.
 
@@ -216,24 +268,8 @@ def best_rank_k_in_subspace(A, C, k):
 
     If rank(C) < k the approximation (and Z) may have rank < k.
     """
-    A = as_matrix(A)
-    C = as_matrix(C, "C")
-    if C.shape[0] != A.shape[0]:
-        raise ArgumentError("C.rows must equal A.rows")
-    if not (1 <= k <= C.shape[1]):
-        raise ArgumentError(f"need 1 <= k <= C.cols, got k={k}, C.cols={C.shape[1]}")
-    Q = orth_basis(C)
-    if Q.shape[1] == 0:
-        return np.zeros_like(A), np.zeros((A.shape[1], 0))
-    B = Q.T @ A
-    try:
-        Ub, sb, Vbt = np.linalg.svd(B, full_matrices=False)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"svd failed to converge: {e}") from e
-    t = min(k, len(sb))
-    approx = Q @ (Ub[:, :t] * sb[:t]) @ Vbt[:t]
-    Z = np.ascontiguousarray(Vbt[:t].T)
-    return approx, Z
+    Q, W, Vt = _subspace_factors(A, C, k)
+    return Q @ W @ Vt, np.ascontiguousarray(Vt.T)
 
 
 def boost_best(run, trials, score, seed=0):

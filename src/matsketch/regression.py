@@ -17,8 +17,9 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError, ConvergenceError, NumericError, RankError
-from .linalg import (apply_plan_rows, as_matrix, as_vector, pseudo_inverse,
-                     singular_values, svd)
+from .linalg import (_pow2_exponent, _pow2_unscaled, _ratio,
+                     apply_plan_rows, as_matrix, as_vector, frobenius_norm,
+                     pseudo_inverse, singular_values, svd)
 from .samplers import _barrier_core, _plan_from_weights, subspace_sampling
 from .sketch import srht_rows
 
@@ -197,9 +198,10 @@ def evaluate_coreset(p, c):
     """Solve full and coreset problems, report the objective ratio.
 
     The ratio is ||A x_coreset - b||^2 / ||A x_full - b||^2, both
-    residuals measured on the full data. A zero full residual with a
-    zero coreset residual reports ratio 1.0; zero full with nonzero
-    coreset reports +inf (ratio_finite=False).
+    residuals measured on the full data and divided by 2^e (e from
+    max |[A | b]|) before squaring, so 2^j (A, b) give the same ratio. A
+    zero full residual (linalg._ratio) with a zero coreset residual
+    reports 1.0; with a nonzero one, +inf (ratio_finite=False).
     """
     t0 = time.perf_counter()
     x_full = solve_ls(p.A, p.b, p.constraint)
@@ -208,13 +210,12 @@ def evaluate_coreset(p, c):
     x_core = solve_ls(c.C, c.b_c, p.constraint)
     t_core = time.perf_counter() - t0
 
-    r_full = float(np.linalg.norm(p.A @ x_full - p.b) ** 2)
-    r_core = float(np.linalg.norm(p.A @ x_core - p.b) ** 2)
-    floor = (1e-12 * max(1.0, float(np.linalg.norm(p.b)))) ** 2
-    if r_full <= floor:
-        ratio = 1.0 if r_core <= floor else float("inf")
-    else:
-        ratio = r_core / r_full
+    e = _pow2_exponent(p.A, p.b)
+    res_full, res_core = (frobenius_norm(p.A @ x - p.b)
+                          for x in (x_full, x_core))
+    ratio = _ratio(res_core, res_full, e, 2)
+    r_full, r_core = (_pow2_unscaled(math.ldexp(r, -e) ** 2, 2 * e)
+                      for r in (res_full, res_core))
     return {
         "ratio": ratio,
         "ratio_finite": math.isfinite(ratio),

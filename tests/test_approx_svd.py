@@ -1,6 +1,8 @@
 """Sketched factorizations A = (AZ) Z^T + E and their expectation bounds."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +98,63 @@ def test_spectral_power_exponent_grows_as_eps_shrinks():
     assert base ** (1.0 / (2 * q_tight + 1)) <= target
     if q_tight > 1:
         assert base ** (1.0 / (2 * (q_tight - 1) + 1)) > target
+
+
+def _power_exponent_by_linear_scan(m, n, k, eps):
+    # the search as first written: one test per q, from q = 1 upward
+    p = k
+    base = 1.0 + math.sqrt(k / (p - 1)) + (math.e * math.sqrt(k + p) / p) \
+        * math.sqrt(max(min(m, n) - k, 0))
+    target = 1.0 + eps / math.sqrt(2.0)
+    q = 1
+    while base ** (1.0 / (2 * q + 1)) > target:
+        q += 1
+    return q
+
+
+def test_spectral_power_exponent_matches_linear_scan():
+    grid = itertools.product(
+        [2, 5, 40, 1000, 10 ** 6], [3, 30, 600, 10 ** 5], [2, 3, 5, 20],
+        [1e-3, 0.01, 0.1, 0.5, 0.9, 1.0, 2.0, 10.0, math.inf])
+    for m, n, k, eps in grid:
+        assert spectral_power_exponent(m, n, k, eps) == \
+            _power_exponent_by_linear_scan(m, n, k, eps), (m, n, k, eps)
+
+
+def test_spectral_power_exponent_tiny_eps_is_quick_and_minimal():
+    # a linear scan would take ~1e12 steps here
+    k, eps = 5, 1e-12
+    q = spectral_power_exponent(1000, 600, k, eps)
+    base = 1.0 + math.sqrt(k / (k - 1)) + (math.e * math.sqrt(2 * k) / k) \
+        * math.sqrt(600 - k)
+    target = 1.0 + eps / math.sqrt(2.0)
+    assert base ** (1.0 / (2 * q + 1)) <= target
+    assert base ** (1.0 / (2 * q - 1)) > target
+
+
+@pytest.mark.parametrize("k, eps", [(1, 0.5), (3, 0.0), (3, -0.5), (3, 1e-300),
+                                    (3, math.nan)])
+def test_spectral_power_exponent_rejects_what_has_no_q(k, eps):
+    # k = 1 divides by p - 1 = 0; eps <= 0, or so small that
+    # 1 + eps/sqrt(2) rounds to 1, makes no q accurate enough
+    with pytest.raises(ArgumentError):
+        spectral_power_exponent(40, 30, k, eps)
+
+
+def test_spectral_svd_rejects_eps_too_small_for_a_power():
+    with pytest.raises(ArgumentError):
+        fast_spectral_svd(rand(9).normal(size=(20, 15)), 3, 1e-300)
+
+
+@pytest.mark.parametrize("j", [600, -600])
+@pytest.mark.parametrize("fn, eps", [(fast_frobenius_svd, 0.5),
+                                     (fast_spectral_svd, 1.0)])
+def test_fast_bases_do_not_depend_on_scale(fn, eps, j):
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(np.ldexp(A, j), 3, eps, seed=2)
+    assert np.array_equal(got.Z, fn(A, 3, eps, seed=2).Z)
 
 
 def test_spectral_never_beats_svd_optimum():

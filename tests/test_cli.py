@@ -15,7 +15,7 @@ from matsketch import save_matrix
 from matsketch.cli import determinism_hash, main
 from matsketch.synthetic import lowrank_plus_noise
 
-from conftest import src_env
+from conftest import rand, src_env
 
 try:
     import tomllib
@@ -159,6 +159,74 @@ def test_file_and_synthetic_are_exclusive(capsys, tmp_path):
                         "--synthetic", "lowrank:8,8,2,0.1")
     assert code == 2
     assert "not both" in err["error"]["message"]
+
+
+_SCALE_CASES = {
+    "cx-frobenius-fast": ["cx", "frobenius", "--mode", "fast", "-k", "3",
+                          "-r", "10", "--trials", "2"],
+    "cx-spectral": ["cx", "spectral", "-k", "3", "-r", "10"],
+    "cssp-spectral": ["cssp", "--mode", "spectral", "-k", "3", "--trials", "2"],
+    "id": ["id", "-k", "3"],
+    "sketch-svd-frobenius": ["sketch-svd", "--mode", "frobenius", "-k", "3",
+                             "--trials", "2"],
+    "sketch-svd-spectral": ["sketch-svd", "--mode", "spectral", "-k", "3",
+                            "--trials", "2"],
+}
+
+
+def _assert_scaled(got, want, j, scaled, key=None):
+    """Fields named in `scaled` are 2^j times `want`; all else is equal."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for k in want:
+            _assert_scaled(got[k], want[k], j, scaled, k)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            _assert_scaled(g, w, j, scaled, key)
+    elif key in scaled:
+        assert got == pytest.approx(math.ldexp(want, j), rel=1e-12), key
+    else:
+        assert got == want, key
+
+
+@pytest.mark.parametrize("j", [-600, -100, 600])
+@pytest.mark.parametrize("name", list(_SCALE_CASES))
+def test_report_does_not_change_when_input_is_scaled(capsys, tmp_path,
+                                                      name, j):
+    # at 2^-100 every ratio used to read 1.0 against an absolute floor; at
+    # 2^+-600 norms overflowed or underflowed and the power sketch raised
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    results = []
+    for scale in (0, j):
+        path = tmp_path / f"a{scale}.mtx"
+        save_matrix(path, np.ldexp(A, scale))
+        code, rep = run_cli(capsys, *_SCALE_CASES[name], "--in", str(path),
+                            "--seed", "3")
+        assert code == 0, rep
+        results.append(rep["results"])
+    want, got = results
+    # a sketch-svd bound_value is a factor on the ratio, not a norm
+    scaled = {"error", "mean_error", "spectral_error", "baseline"}
+    if not name.startswith("sketch-svd"):
+        scaled.add("bound_value")
+    _assert_scaled(got, want, j, scaled)
+
+
+def test_exactly_rank_k_input_reports(capsys, tmp_path):
+    # zero optimum: cx has no finite ratio, id divides by zero, and the
+    # squared sketch-svd ratio of two zeros reads 1.0
+    g = rand(4)
+    path = tmp_path / "rank3.mtx"
+    save_matrix(path, g.normal(size=(40, 3)) @ g.normal(size=(3, 30)))
+    runs = [(["cx", "frobenius", "-k", "3", "-r", "10"], "mean_ratio", None),
+            (["id", "-k", "3"], "ratio", "inf"),
+            (["sketch-svd", "-k", "3", "--trials", "2"], "mean_stat", 1.0)]
+    for argv, field, want in runs:
+        code, rep = run_cli(capsys, *argv, "--in", str(path))
+        assert code == 0
+        assert rep["results"]["baseline"] == 0.0
+        assert rep["results"][field] == want, argv
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Row coresets for constrained least squares and the NNLS solver."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -112,6 +113,22 @@ def test_exact_fit_gives_unit_ratio():
         rep = evaluate_coreset(p, c)
     assert rep["ratio"] == 1.0
     assert rep["ratio_finite"]
+
+
+@pytest.mark.parametrize("j", [-60, 600])
+def test_coreset_ratio_does_not_change_when_data_is_scaled(j):
+    # the zero-residual floor used to be absolute: every residual at 2^-60
+    # fell under it, and the squared norms overflowed to inf at 2^600
+    p = _problem(1000, 3, 8)
+    c = build_coreset(p, 0.5, method="subspace", seed=1, r_override=200)
+    want = evaluate_coreset(p, c)
+    ps = RegressionProblem(np.ldexp(p.A, j), np.ldexp(p.b, j))
+    cs = dataclasses.replace(c, C=np.ldexp(c.C, j), b_c=np.ldexp(c.b_c, j))
+    got = evaluate_coreset(ps, cs)
+    assert 1.0 < want["ratio"] < 1.5
+    assert got["ratio"] == want["ratio"]
+    with np.errstate(over="ignore"):  # 2^1200 times the objective is inf
+        assert got["full_objective"] == np.ldexp(want["full_objective"], 2 * j)
 
 
 def test_full_data_coreset_is_neutral():
