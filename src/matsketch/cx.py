@@ -28,8 +28,8 @@ from . import rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .errors import ArgumentError
 from .linalg import (SamplingPlan, _baselines, apply_plan_columns,
-                     as_matrix, best_rank_k_in_subspace, frobenius_norm,
-                     singular_values, spectral_norm, svd)
+                     apply_plan_rows, as_matrix, best_rank_k_in_subspace,
+                     frobenius_norm, singular_values, spectral_norm, svd)
 from .samplers import (adaptive_sampling, barrier_dual_frobenius,
                        barrier_dual_spectral, barrier_single, rrqr_select,
                        subspace_sampling)
@@ -157,9 +157,9 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
         C1 = apply_plan_columns(A, plan1)
         plan2 = adaptive_sampling(A, C1, r - 4 * k,
                                   seed=rng.derive_seed(seed, rng.ADAPTIVE, 0))
-        picks = tuple(plan1.picks) + tuple(plan2.picks)
-        plan = SamplingPlan(source_dim=n, picks=picks, with_replacement=True,
-                            note="barrier+adaptive")
+        plan = SamplingPlan(n, np.concatenate([plan1.indices, plan2.indices]),
+                            np.concatenate([plan1.weights, plan2.weights]),
+                            with_replacement=True, note="barrier+adaptive")
         return _certify(A, k, plan, "frobenius",
                         math.sqrt(1.0 + 6.0 * k / (r - 4 * k)),
                         "E^2: (1+6k/(r-4k))*||A-A_k||_F^2")
@@ -193,11 +193,8 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
     if mode == "frobenius":
         Z = fast_frobenius_svd(A, k, 0.5, seed=seed).Z
         plan1 = barrier_dual_frobenius(Z, A - (A @ Z) @ Z.T, 4 * k)
-        X = plan1.weights[:, None] * Z[plan1.indices]
-        inner = rrqr_select(X)
-        sel = SamplingPlan(source_dim=n,
-                           picks=tuple((int(plan1.indices[j]), 1.0)
-                                       for j in inner.indices))
+        inner = rrqr_select(apply_plan_rows(Z, plan1))
+        sel = SamplingPlan(n, plan1.indices[inner.indices], 1.0)
         return _certify(A, k, sel, "frobenius", 9.0 * k, "E: 9k*||A-A_k||_F")
     if mode == "two_stage":
         if not (0.0 < delta < 1.0):
@@ -210,11 +207,8 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         r1 = math.ceil(8.0 * k * math.log(2.0 * k / delta))
         plan1 = subspace_sampling(Z, 1.0, max(r1, k),
                                   seed=rng.derive_seed(seed, rng.CSSP, 0))
-        X = plan1.weights[:, None] * Z[plan1.indices]
-        inner = rrqr_select(X)
-        sel = SamplingPlan(source_dim=n,
-                           picks=tuple(sorted((int(plan1.indices[j]), 1.0)
-                                              for j in inner.indices)))
+        inner = rrqr_select(apply_plan_rows(Z, plan1))
+        sel = SamplingPlan(n, np.sort(plan1.indices[inner.indices]), 1.0)
         return _certify(
             A, k, sel, "frobenius",
             26.0 * k * math.sqrt(math.log(2.0 * k / delta)) / delta,

@@ -5,7 +5,7 @@ construction invariants (finite entries, nonempty) at API boundaries.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,45 +55,51 @@ class SvdFactors:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """Column (or row) picks with rescale weights.
+    """The sampling matrix Omega and the diagonal rescaling S as two arrays.
 
-    Encodes the sampling matrix Omega (standard-basis columns at `indices`)
-    and the diagonal rescaling S (the `weights`) as one ordered list.
+    Omega has standard-basis columns e_i at the int `indices`, in plan
+    order; S has the matching positive, finite float `weights` on its
+    diagonal. A scalar weight (1.0, or the SRHT scale) is given to every
+    pick. Both arrays are stored as read-only copies.
     """
 
     source_dim: int
-    picks: tuple
+    indices: np.ndarray
+    weights: np.ndarray
     with_replacement: bool = False
     note: str = ""
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "picks", tuple((int(i), float(w)) for i, w in self.picks)
-        )
-        if len(self.picks) == 0:
+        idx = np.array(self.indices, dtype=int).ravel()
+        try:
+            w = np.broadcast_to(np.asarray(self.weights, dtype=float), idx.shape)
+        except ValueError:
+            raise ArgumentError(
+                f"{np.size(self.weights)} weights for {idx.size} picks") from None
+        if idx.size == 0:
             raise ArgumentError("plan has no picks")
-        for i, w in self.picks:
-            if not (0 <= i < self.source_dim):
-                raise ArgumentError(f"pick index {i} outside [0, {self.source_dim})")
-            if not (w > 0) or not math.isfinite(w):
-                raise ArgumentError(f"pick weight {w} must be a positive real")
+        bad = (idx < 0) | (idx >= self.source_dim)
+        if bad.any():
+            raise ArgumentError(
+                f"pick index {idx[bad.argmax()]} outside [0, {self.source_dim})")
+        bad = ~(w > 0) | ~np.isfinite(w)
+        if bad.any():
+            raise ArgumentError(f"pick weight {w[bad.argmax()]} must be a positive real")
         if not self.with_replacement:
-            idx = [i for i, _ in self.picks]
-            if len(set(idx)) != len(idx):
-                raise ArgumentError("duplicate indices in a without-replacement plan")
-
-    @property
-    def indices(self):
-        return np.array([i for i, _ in self.picks], dtype=int)
-
-    @property
-    def weights(self):
-        return np.array([w for _, w in self.picks], dtype=float)
+            _, first = np.unique(idx, return_index=True)
+            if first.size != idx.size:
+                j = np.setdiff1d(np.arange(idx.size), first)[0]
+                raise ArgumentError(
+                    f"duplicate index {idx[j]} in a without-replacement plan")
+        w = w.copy()
+        for name, a in (("indices", idx), ("weights", w)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self):
-        return len(self.picks)
+        return self.indices.size
 
 
 def _svd(A, compute_uv):
@@ -166,12 +172,12 @@ def _baselines(s, k):
 def _ratio(num, den, e, power=1):
     """(num / den)^power, measured over optimal, both first divided by 2^e,
     e = _pow2_exponent(input): exact, and the same at any scale of the
-    input. A rescaled den^power <= 1e-24 counts as zero; the ratio is then
-    1.0 if num^power is zero too by that rule, else inf."""
-    num, den = math.ldexp(num, -e) ** power, math.ldexp(den, -e) ** power
-    if den > 1e-24:
-        return num / den
-    return 1.0 if num <= 1e-24 else math.inf
+    input. A rescaled den <= 1e-12 counts as zero, whatever the power; the
+    ratio is then 1.0 if num is zero too by that rule, else inf."""
+    num, den = math.ldexp(num, -e), math.ldexp(den, -e)
+    if den > 1e-12:
+        return num ** power / den ** power
+    return 1.0 if num <= 1e-12 else math.inf
 
 
 def _within(value, bound, e=0):

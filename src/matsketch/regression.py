@@ -19,7 +19,7 @@ from . import rng
 from .errors import ArgumentError, ConvergenceError, NumericError, RankError
 from .linalg import (_pow2_exponent, _pow2_unscaled, _ratio,
                      apply_plan_rows, as_matrix, as_vector, frobenius_norm,
-                     pseudo_inverse, singular_values, svd)
+                     pow2_scaled, pseudo_inverse, singular_values, svd)
 from .samplers import _barrier_core, _plan_from_weights, subspace_sampling
 from .sketch import srht_rows
 
@@ -107,55 +107,50 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
     if r < 1:
         raise ArgumentError(f"need at least one row, got r={r}")
 
-    Y = np.column_stack([p.A, p.b])
-    fY = svd(Y)
-    U_Y = fY.U  # m x k, k = rank(Y) <= n+1
-
-    if method == "barrier":
-        if r > m:
-            # the weighting loop runs fine past m steps and still emits at
-            # most m distinct rows, so oversized formula counts only cost time
-            warnings.warn(
-                f"formula coreset size r={r} exceeds m={m}; continuing "
-                "(at most m distinct weighted rows come out)", stacklevel=2)
-        if r <= fY.rank:
-            raise ArgumentError(
-                f"coreset size r={r} must exceed rank(Y)={fY.rank}")
-        weights = _barrier_core(U_Y, r, U_Y)
-        plan = _plan_from_weights(weights)
-        C = apply_plan_rows(p.A, plan)
-        b_c = plan.weights * p.b[plan.indices]
-        delta_used = float("nan")
-    elif method == "subspace":
-        if r > m:
-            raise ArgumentError(
-                f"coreset larger than data: r={r} > m={m} "
-                "(shrink eps/delta or pass r_override)")
-        plan = subspace_sampling(U_Y, 1.0, r,
-                                 seed=rng.derive_seed(seed, rng.CORESET, 0))
-        C = apply_plan_rows(p.A, plan)
-        b_c = plan.weights * p.b[plan.indices]
-        delta_used = float(delta)
-    elif method == "srht":
-        if r > m:
-            raise ArgumentError(
-                f"coreset larger than data: r={r} > m={m} "
-                "(shrink eps/delta or pass r_override)")
+    if method in ("subspace", "srht") and r > m:
+        raise ArgumentError(
+            f"coreset larger than data: r={r} > m={m} "
+            "(shrink eps/delta or pass r_override)")
+    if method == "srht":
         C, b_c, plan = srht_rows(p.A, p.b, r,
                                  seed=rng.derive_seed(seed, rng.CORESET, 1))
-        delta_used = float(delta)
     else:
-        raise ArgumentError(
-            f"unknown method {method!r} (expected barrier|subspace|srht)")
+        U_Y = svd(np.column_stack([p.A, p.b])).U  # m x rank(Y), rank <= n+1
+        if method == "barrier":
+            if r > m:
+                # the weighting loop runs fine past m steps and still emits at
+                # most m distinct rows, so oversized formula counts only cost time
+                warnings.warn(
+                    f"formula coreset size r={r} exceeds m={m}; continuing "
+                    "(at most m distinct weighted rows come out)", stacklevel=2)
+            if r <= U_Y.shape[1]:
+                raise ArgumentError(
+                    f"coreset size r={r} must exceed rank(Y)={U_Y.shape[1]}")
+            plan = _plan_from_weights(_barrier_core(U_Y, r, U_Y))
+        elif method == "subspace":
+            plan = subspace_sampling(U_Y, 1.0, r,
+                                     seed=rng.derive_seed(seed, rng.CORESET, 0))
+        else:
+            raise ArgumentError(
+                f"unknown method {method!r} (expected barrier|subspace|srht)")
+        C = apply_plan_rows(p.A, plan)
+        b_c = plan.weights * p.b[plan.indices]
     return Coreset(plan=plan, C=C, b_c=b_c, method=method, eps=float(eps),
-                   delta=delta_used)
+                   delta=float("nan") if method == "barrier" else float(delta))
 
 
 def _nnls(C, b):
-    """argmin_{x >= 0} ||Cx - b||^2 by scipy's Lawson-Hanson active set."""
+    """argmin_{x >= 0} ||Cx - b||^2 by scipy's Lawson-Hanson active set.
+
+    scipy's tolerances and the KKT check below are absolute, so both run on
+    C / 2^eC and b / 2^eb (exact rescales to max |entry| in [1/2, 1)); the
+    solution of the unscaled system is then 2^(eb - eC) times theirs.
+    """
     import scipy.optimize  # ~0.3 s to import, and only NNLS needs it
 
     m, n = C.shape
+    C, eC = pow2_scaled(C)
+    b, eb = pow2_scaled(b)
     try:
         x = scipy.optimize.nnls(C, b)[0]
     except RuntimeError as exc:  # scipy's iteration cap, 3n
@@ -171,7 +166,7 @@ def _nnls(C, b):
         raise NumericError("NNLS left a nonzero gradient on the support")
     if (~passive).any() and float(w[~passive].max()) > gtol:
         raise NumericError("NNLS left a strictly improving inactive variable")
-    return x
+    return np.ldexp(x, eb - eC)
 
 
 def solve_ls(C, b, constraint="none"):

@@ -9,7 +9,6 @@ eigenvalue of one accumulated quadratic form and the largest eigenvalue
 """
 
 import math
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +39,7 @@ def additive_sampling(A, r, seed=0):
         raise ArgumentError("zero matrix: column probabilities undefined")
     gen = rng.stream(seed, rng.ADDITIVE)
     idx = gen.choice(n, size=int(r), replace=True, p=sq / total)
-    return SamplingPlan(n, [(int(i), 1.0) for i in idx], with_replacement=True)
+    return SamplingPlan(n, idx, 1.0, with_replacement=True)
 
 
 def adaptive_sampling(A, C1, s, seed=0):
@@ -69,12 +68,11 @@ def adaptive_sampling(A, C1, s, seed=0):
     fro2 = float(np.einsum("ij,ij->", B, B))
     if total <= (1e-10 ** 2) * fro2 or total <= 0:
         j = int(np.argmax(np.einsum("ij,ij->j", B, B)))
-        return SamplingPlan(
-            n, [(j, 1.0)] * int(s), with_replacement=True, note="degenerate-residual"
-        )
+        return SamplingPlan(n, np.full(int(s), j), 1.0, with_replacement=True,
+                            note="degenerate-residual")
     gen = rng.stream(seed, rng.ADAPTIVE)
     idx = gen.choice(n, size=int(s), replace=True, p=sq / total)
-    return SamplingPlan(n, [(int(i), 1.0) for i in idx], with_replacement=True)
+    return SamplingPlan(n, idx, 1.0, with_replacement=True)
 
 
 def subspace_sampling(X, beta, r, seed=0):
@@ -97,10 +95,7 @@ def subspace_sampling(X, beta, r, seed=0):
     p = beta * (sq / total) + (1.0 - beta) / n
     gen = rng.stream(seed, rng.SUBSPACE)
     idx = gen.choice(n, size=int(r), replace=True, p=p / p.sum())
-    w = 1.0 / np.sqrt(p[idx] * r)
-    return SamplingPlan(
-        n, [(int(i), float(wi)) for i, wi in zip(idx, w)], with_replacement=True
-    )
+    return SamplingPlan(n, idx, 1.0 / np.sqrt(p[idx] * r), with_replacement=True)
 
 
 def rrqr_select(X, f=2.0):
@@ -122,7 +117,7 @@ def rrqr_select(X, f=2.0):
     if sv[-1] <= rank_cutoff(sv, Xt.shape):
         raise RankError(f"X has numerical rank < k={k}")
     if n == k:
-        return SamplingPlan(n, [(i, 1.0) for i in range(n)], with_replacement=False)
+        return SamplingPlan(n, np.arange(n), 1.0)
 
     _, _, piv = scipy.linalg.qr(Xt, pivoting=True, mode="economic")
     perm = np.array(piv, dtype=int)
@@ -141,8 +136,7 @@ def rrqr_select(X, f=2.0):
                 f"internal: RRQR swap loop exceeded cap {cap}; the determinant "
                 "must strictly increase per swap, so this indicates a bug"
             )
-    sel = np.sort(perm[:k])
-    return SamplingPlan(n, [(int(i), 1.0) for i in sel], with_replacement=False)
+    return SamplingPlan(n, np.sort(perm[:k]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +291,7 @@ def _barrier_core(V, r, upper):
 
 def _plan_from_weights(s):
     nz = np.flatnonzero(s > 0)
-    return SamplingPlan(
-        len(s),
-        [(int(i), float(math.sqrt(s[i]))) for i in nz],
-        with_replacement=False,
-    )
+    return SamplingPlan(len(s), nz, np.sqrt(s[nz]))
 
 
 def barrier_dual_spectral(V, U, r):

@@ -49,14 +49,12 @@ def fwht(X):
         raise ArgumentError(f"row count {n} is not a power of two")
     h = 1
     while h < n:
-        Y = Y.reshape(n // (2 * h), 2, h, -1)
-        a = Y[:, 0].copy()
-        b = Y[:, 1].copy()
-        Y[:, 0] = a + b
-        Y[:, 1] = a - b
-        Y = Y.reshape(n, -1)
+        B = Y.reshape(n // (2 * h), 2, h, -1)  # a view: Y is C-contiguous
+        a = B[:, 0].copy()
+        B[:, 0] += B[:, 1]
+        np.subtract(a, B[:, 1], out=B[:, 1])
         h *= 2
-    Y = Y / math.sqrt(n)
+    Y /= math.sqrt(n)
     return Y[:, 0] if squeeze else Y
 
 
@@ -89,11 +87,7 @@ def srht_rows(A, b, r, seed=0):
     stack = A if b is None else np.hstack([A, as_vector(b).reshape(-1, 1)])
     mixed = fwht(_pad_rows(stack, m_pad) * signs.reshape(-1, 1))
     sk = mixed[idx] * scale
-    plan = SamplingPlan(
-        source_dim=m_pad,
-        picks=[(int(i), scale) for i in idx],
-        with_replacement=True,
-    )
+    plan = SamplingPlan(m_pad, idx, scale, with_replacement=True)
     if b is None:
         return sk, None, plan
     return sk[:, :-1], sk[:, -1].copy(), plan

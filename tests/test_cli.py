@@ -214,19 +214,22 @@ def test_report_does_not_change_when_input_is_scaled(capsys, tmp_path,
 
 
 def test_exactly_rank_k_input_reports(capsys, tmp_path):
-    # zero optimum: cx has no finite ratio, id divides by zero, and the
-    # squared sketch-svd ratio of two zeros reads 1.0
+    # zero optimum and a rounding-noise error: every report, squared or
+    # not, reads the ratio of two zeros as 1.0
     g = rand(4)
     path = tmp_path / "rank3.mtx"
     save_matrix(path, g.normal(size=(40, 3)) @ g.normal(size=(3, 30)))
-    runs = [(["cx", "frobenius", "-k", "3", "-r", "10"], "mean_ratio", None),
-            (["id", "-k", "3"], "ratio", "inf"),
-            (["sketch-svd", "-k", "3", "--trials", "2"], "mean_stat", 1.0)]
+    runs = [(["cx", "frobenius", "-k", "3", "-r", "10"], "mean_ratio", 1.0),
+            (["id", "-k", "3"], "ratio", 1.0),
+            (["sketch-svd", "-k", "3", "--trials", "2"], "mean_stat", 1.0),
+            (["sketch-svd", "-k", "3", "--mode", "spectral", "--trials", "2"],
+             "mean_stat", 1.0)]
     for argv, field, want in runs:
         code, rep = run_cli(capsys, *argv, "--in", str(path))
         assert code == 0
         assert rep["results"]["baseline"] == 0.0
         assert rep["results"][field] == want, argv
+        assert rep["results"].get("satisfied", True) is True, argv
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_select_method_width_and_provenance():
     assert C.shape == (50, r)
     assert len(plan) == r
     # every reduced feature is a rescaled original column
-    for pos, (j, w) in enumerate(plan.picks):
+    for pos, (j, w) in enumerate(zip(plan.indices, plan.weights)):
         np.testing.assert_allclose(C[:, pos], w * A[:, j])
 
 

@@ -147,26 +147,26 @@ def test_pinv_penrose_identities():
 
 
 def test_plan_picks_columns_in_order():
-    plan = SamplingPlan(3, [(0, 1.0), (2, 1.0)])
+    plan = SamplingPlan(3, [0, 2], 1.0)
     C = apply_plan_columns(np.eye(3), plan)
     np.testing.assert_array_equal(C, np.eye(3)[:, [0, 2]])
 
 
 def test_plan_weight_rescales_column():
     A = np.array([[0.0, 1.0], [0.0, 1.0]])
-    C = apply_plan_columns(A, SamplingPlan(2, [(1, 2.0)]))
+    C = apply_plan_columns(A, SamplingPlan(2, [1], 2.0))
     np.testing.assert_array_equal(C, np.array([[2.0], [2.0]]))
 
 
 def test_full_unit_plan_copies_matrix():
     A = rand(5).normal(size=(4, 6))
-    plan = SamplingPlan(6, [(i, 1.0) for i in range(6)])
+    plan = SamplingPlan(6, np.arange(6), 1.0)
     np.testing.assert_array_equal(apply_plan_columns(A, plan), A)
 
 
 def test_plan_rows_mirrors_columns():
     A = rand(6).normal(size=(5, 3))
-    plan = SamplingPlan(5, [(4, 0.5), (1, 2.0)], with_replacement=True)
+    plan = SamplingPlan(5, [4, 1], [0.5, 2.0], with_replacement=True)
     np.testing.assert_allclose(
         apply_plan_rows(A, plan), apply_plan_columns(A.T, plan).T
     )
@@ -174,22 +174,39 @@ def test_plan_rows_mirrors_columns():
 
 def test_plan_validation():
     with pytest.raises(ArgumentError):
-        SamplingPlan(3, [])
+        SamplingPlan(3, [], 1.0)
     with pytest.raises(ArgumentError):
-        SamplingPlan(3, [(3, 1.0)])
+        SamplingPlan(3, [3], 1.0)
     with pytest.raises(ArgumentError):
-        SamplingPlan(3, [(0, 0.0)])
+        SamplingPlan(3, [0], 0.0)
     with pytest.raises(ArgumentError):
-        SamplingPlan(3, [(0, -1.0)])
+        SamplingPlan(3, [0], -1.0)
     with pytest.raises(ArgumentError):
-        SamplingPlan(3, [(1, 1.0), (1, 1.0)], with_replacement=False)
+        SamplingPlan(3, [1, 1], 1.0, with_replacement=False)
     # the same duplicate is fine when declared with replacement
-    SamplingPlan(3, [(1, 1.0), (1, 1.0)], with_replacement=True)
+    SamplingPlan(3, [1, 1], 1.0, with_replacement=True)
+
+
+def test_plan_arrays_are_read_only_and_errors_name_the_value():
+    plan = SamplingPlan(4, [2, 0, 3], 0.5)
+    np.testing.assert_array_equal(plan.weights, [0.5, 0.5, 0.5])
+    assert len(plan) == 3
+    for a in (plan.indices, plan.weights):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    with pytest.raises(ArgumentError, match="pick index 5 outside"):
+        SamplingPlan(4, [1, 5, -1], 1.0)
+    with pytest.raises(ArgumentError, match="pick weight nan must"):
+        SamplingPlan(4, [0, 1, 2], [1.0, np.nan, -1.0])
+    with pytest.raises(ArgumentError, match="duplicate index 3 "):
+        SamplingPlan(4, [3, 0, 3, 0], 1.0)
+    with pytest.raises(ArgumentError, match="3 weights for 2 picks"):
+        SamplingPlan(4, [0, 1], [1.0, 2.0, 3.0])
 
 
 def test_plan_dimension_mismatch():
     with pytest.raises(ArgumentError):
-        apply_plan_columns(np.eye(3), SamplingPlan(4, [(0, 1.0)]))
+        apply_plan_columns(np.eye(3), SamplingPlan(4, [0], 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -115,14 +115,16 @@ def test_exact_fit_gives_unit_ratio():
     assert rep["ratio_finite"]
 
 
-@pytest.mark.parametrize("j", [-60, 600])
-def test_coreset_ratio_does_not_change_when_data_is_scaled(j):
+@pytest.mark.parametrize("j", [-600, -60, 600])
+@pytest.mark.parametrize("constraint", ["none", "nonnegative"])
+def test_coreset_ratio_does_not_change_when_data_is_scaled(constraint, j):
     # the zero-residual floor used to be absolute: every residual at 2^-60
-    # fell under it, and the squared norms overflowed to inf at 2^600
-    p = _problem(1000, 3, 8)
+    # fell under it, and the squared norms overflowed to inf at 2^600; the
+    # NNLS tolerances and KKT check are absolute too
+    p = _problem(1000, 3, 8, constraint)
     c = build_coreset(p, 0.5, method="subspace", seed=1, r_override=200)
     want = evaluate_coreset(p, c)
-    ps = RegressionProblem(np.ldexp(p.A, j), np.ldexp(p.b, j))
+    ps = RegressionProblem(np.ldexp(p.A, j), np.ldexp(p.b, j), constraint)
     cs = dataclasses.replace(c, C=np.ldexp(c.C, j), b_c=np.ldexp(c.b_c, j))
     got = evaluate_coreset(ps, cs)
     assert 1.0 < want["ratio"] < 1.5
@@ -135,7 +137,7 @@ def test_full_data_coreset_is_neutral():
     from matsketch import Coreset, SamplingPlan
 
     p = _problem(50, 3, 6)
-    plan = SamplingPlan(50, [(i, 1.0) for i in range(50)])
+    plan = SamplingPlan(50, np.arange(50), 1.0)
     c = Coreset(plan=plan, C=p.A, b_c=p.b, method="manual", eps=0.0)
     assert evaluate_coreset(p, c)["ratio"] == pytest.approx(1.0, abs=1e-12)
 
