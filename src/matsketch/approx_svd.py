@@ -51,18 +51,20 @@ def _complete_columns(A, Z, k, seed):
 def fast_frobenius_svd(A, k, eps, seed=0):
     """Gaussian-sketch factorization tuned for Frobenius error.
 
-    p = ceil(k/eps + 1) oversampling, Y = A R with R n x (k+p) Gaussian,
+    Y = A R with R n x r Gaussian, r = min(k + ceil(k/eps + 1), n), and
     Z = right singular vectors of (Q^T A)_k for Q an orthonormal basis of
-    Y. Satisfies E ||A - A Z Z^T||_F^2 <= (1 + eps) ||A - A_k||_F^2.
+    Y. Satisfies E ||A - A Z Z^T||_F^2 <= (1 + eps) ||A - A_k||_F^2; at
+    r = n, Y already spans A's column space and Z is the exact top-k.
     """
     A, _ = pow2_scaled(as_matrix(A))
     _validate_k(A, k)
     if not (0 < eps < 1):
         raise ArgumentError(f"need 0 < eps < 1, got {eps}")
-    p = math.ceil(k / eps + 1)
-    r = k + p
+    n = A.shape[1]
+    r = min(k + math.ceil(min(k / eps + 1, n)), n)  # k / eps may be inf
+    p = r - k
     gen = rng.stream(seed, rng.FAST_SVD, 0)
-    Y = A @ gen.standard_normal((A.shape[1], r))
+    Y = A @ gen.standard_normal((n, r))
     Z = _complete_columns(
         A, np.ascontiguousarray(_subspace_factors(A, Y, k)[2].T), k, seed)
     return ApproxBasis(Z=Z, k=int(k), seed=int(seed), method="fast-frobenius",

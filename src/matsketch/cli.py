@@ -23,8 +23,9 @@ from .cx import (cssp, cx_frobenius, cx_spectral, interpolative_decomposition,
                  lower_bound_instance)
 from .errors import ArgumentError, MatsketchError
 from .kmeans import kmeans_cost, lloyd, reduce_features
-from .linalg import (_baselines, _pow2_exponent, _ratio, _within,
-                     frobenius_norm, singular_values, spectral_norm)
+from .linalg import (_baseline, _pow2_exponent, _pow2_unscaled, _ratio,
+                     _within, frobenius_norm, pow2_scaled, singular_values,
+                     spectral_norm, top_k)
 from .mmio import load_matrix
 from .oracles import all_subset_errors
 from .regression import (RegressionProblem, build_coreset, coreset_size,
@@ -295,7 +296,7 @@ def _run_id(args):
     C, X, plan = interpolative_decomposition(A, args.k, seed=args.seed)
     k, n = args.k, A.shape[1]
     sel = plan.indices
-    baseline, _ = _baselines(singular_values(A), k)
+    baseline = _baseline(top_k(A, k), "spectral")
     err = spectral_norm(A - C @ X)
     bound = 4.0 * math.sqrt(4.0 * k * (n - k) + 1.0) * baseline
     xs = np.linalg.svd(X, compute_uv=False)
@@ -381,12 +382,14 @@ def _run_kmeans(args):
     A, source, _ = _load_input(args)
     restarts = max(1, args.trials)
     base = lloyd(A, args.k, restarts=restarts, seed=args.seed)
-    cost_full = kmeans_cost(A, base)
     C, _aux = reduce_features(A, args.k, args.eps, method=args.method,
                               c0=args.c0, seed=args.seed)
     red = lloyd(C, args.k, restarts=restarts,
                 seed=rng.derive_seed(args.seed, rng.KMEANS, 2))
-    cost_red = kmeans_cost(A, red)
+    # costs are sums of squares: taken on A / 2^e they neither overflow
+    # nor underflow, and the ratio is the same at any scale of A
+    S, e = pow2_scaled(A)
+    cost_full, cost_red = kmeans_cost(S, base), kmeans_cost(S, red)
     return {
         "algorithm": "reduce_features",
         "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
@@ -395,9 +398,9 @@ def _run_kmeans(args):
                    "c0": args.c0, "trials": restarts},
         "results": {
             "reduced_width": int(C.shape[1]),
-            "cost_full_features": cost_full,
-            "cost_reduced_features_on_full": cost_red,
-            "ratio": _ratio(cost_red, cost_full, 2 * _pow2_exponent(A)),
+            "cost_full_features": _pow2_unscaled(cost_full, 2 * e),
+            "cost_reduced_features_on_full": _pow2_unscaled(cost_red, 2 * e),
+            "ratio": _ratio(cost_red, cost_full, 0),
             "note": "inner clusterer is uncertified Lloyd; ratio is an "
                     "empirical surrogate, not a theorem constant",
             "cluster_sizes_full": list(base.sizes),
@@ -410,10 +413,9 @@ def _run_sketch_svd(args):
     A, source, _ = _load_input(args)
     ex = _pow2_exponent(A)
     k, frob = args.k, args.mode == "frobenius"
-    sigma, tail = _baselines(singular_values(A), k)
-    fn, norm, base, key = ((fast_frobenius_svd, frobenius_norm, tail, "sq_ratio")
-                           if frob else
-                           (fast_spectral_svd, spectral_norm, sigma, "ratio"))
+    base = _baseline(top_k(A, k), args.mode)
+    fn, norm, key = ((fast_frobenius_svd, frobenius_norm, "sq_ratio") if frob
+                     else (fast_spectral_svd, spectral_norm, "ratio"))
     trials = max(1, args.trials)
     per = []
     for sd in _trial_seeds(args.seed, trials):

@@ -9,13 +9,19 @@ factorization, which is within sqrt(2) of the spectral optimum, and the
 per-instance spectral bounds already include that factor.
 
 Selection and certification are apart: each mode picks its columns and
-names its bound constant; `_certify` reads the baseline from A's singular
-values (linalg._baselines), scales it by the constant, and measures both
-errors. The spectral error is sqrt(lambda_max) of the smaller Gram matrix
-of the residual (linalg.spectral_norm), within 2e-15 of the SVD value on
-1000 x 600 residuals. Errors and baselines are taken after exact
-power-of-two rescales, so they neither overflow nor underflow at any
-finite scale of A, and 2^j A gives 2^j times the numbers of A.
+names its bound constant; `_certify` reads the baseline, scales it by the
+constant, and measures both errors. The baseline is ||E||_2 or ||E||_F of
+the residual E = A - A Z Z^T of a converged top-k subspace Z
+(linalg.top_k, linalg._baseline), not of a full SVD: for any orthonormal
+Z it is never below sigma_{k+1} or ||A - A_k||_F, the structural lemma
+of Boutsidis-Drineas-Magdon-Ismail holds for that E, and it reads 0.0 on
+input of rank <= k. Only deterministic cx_spectral factors A in full,
+since it needs V[:, k:] and rank(A). The spectral error is
+sqrt(lambda_max) of the smaller Gram matrix of the residual
+(linalg.spectral_norm), within 2e-15 of the SVD value on 1000 x 600
+residuals. Errors and baselines are taken after exact power-of-two
+rescales, so they neither overflow nor underflow at any finite scale of
+A, and 2^j A gives 2^j times the numbers of A.
 """
 
 import math
@@ -27,9 +33,9 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .errors import ArgumentError
-from .linalg import (SamplingPlan, _baselines, apply_plan_columns,
+from .linalg import (SamplingPlan, _baseline, apply_plan_columns,
                      apply_plan_rows, as_matrix, best_rank_k_in_subspace,
-                     frobenius_norm, singular_values, spectral_norm, svd)
+                     frobenius_norm, rank_cutoff, spectral_norm, svd, top_k)
 from .samplers import (adaptive_sampling, barrier_dual_frobenius,
                        barrier_dual_spectral, barrier_single, rrqr_select,
                        subspace_sampling)
@@ -47,12 +53,12 @@ class CxResult:
     bound_formula: str
 
 
-def _certify(A, k, plan, norm, const, formula, s=None):
+def _certify(A, k, plan, norm, const, formula, baseline=None):
     """Measure the plan's rank-k errors and certify const * baseline, the
-    baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from A's singular
-    values s, or from one values-only SVD when the caller holds none."""
-    sig, tail = _baselines(singular_values(A) if s is None else s, k)
-    baseline = sig if norm == "spectral" else tail
+    baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from the residual
+    of top_k(A, k) (linalg._baseline) when the caller holds none."""
+    if baseline is None:
+        baseline = _baseline(top_k(A, k), norm)
     C = apply_plan_columns(A, plan)
     approx, _ = best_rank_k_in_subspace(A, C, k)
     R = A - approx
@@ -95,13 +101,14 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
         if rho > k:
             plan = barrier_dual_spectral(f.V[:, :k], f.V[:, k:], r)
             const = 1.0 + (1.0 + math.sqrt((rho - k) / r)) / shrink
+            sigma = float(f.singular_values[k])
         else:
             # nothing outside the top subspace; a single-set run suffices
             plan = barrier_single(f.V, r)
-            const = 1.0 + 1.0 / shrink
+            const, sigma = 1.0 + 1.0 / shrink, 0.0
         formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
         return _certify(A, k, plan, "spectral", math.sqrt(2.0) * const,
-                        formula, f.singular_values)
+                        formula, sigma)
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
         basis = fast_spectral_svd(A, k, 1, seed=seed)
@@ -125,15 +132,15 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
     A = as_matrix(A)
     if mode == "deterministic":
         shrink = _check_kr(A, k, r, 1)
-        f = svd(A)
-        if k > f.rank:
-            raise ArgumentError(f"k={k} exceeds rank(A)={f.rank}")
-        Vk = f.V[:, :k]
-        plan = barrier_dual_frobenius(Vk, A - (A @ Vk) @ Vk.T, r)
+        top = Z, E, s = top_k(A, k)
+        rho = int(np.sum(s > rank_cutoff(s, A.shape)))
+        if k > rho:
+            raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
+        plan = barrier_dual_frobenius(Z, E, r)
         return _certify(A, k, plan, "frobenius",
                         math.sqrt(1.0 + 1.0 / shrink ** 2),
                         "sqrt(1+1/(1-sqrt(k/r))^2)*||A-A_k||_F",
-                        f.singular_values)
+                        _baseline(top, "frobenius"))
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
         Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
@@ -200,10 +207,10 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         if not (0.0 < delta < 1.0):
             raise ArgumentError(f"need 0 < delta < 1, got {delta}")
         if k == 1:
-            f = svd(A)
-            Z, s = f.V[:, :1], f.singular_values
+            top = top_k(A, 1)
+            Z, baseline = top[0], _baseline(top, "frobenius")
         else:
-            Z, s = fast_frobenius_svd(A, k, 0.5, seed=seed).Z, None
+            Z, baseline = fast_frobenius_svd(A, k, 0.5, seed=seed).Z, None
         r1 = math.ceil(8.0 * k * math.log(2.0 * k / delta))
         plan1 = subspace_sampling(Z, 1.0, max(r1, k),
                                   seed=rng.derive_seed(seed, rng.CSSP, 0))
@@ -212,7 +219,8 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         return _certify(
             A, k, sel, "frobenius",
             26.0 * k * math.sqrt(math.log(2.0 * k / delta)) / delta,
-            "w.p. 1-3delta: 26k*sqrt(ln(2k/delta))/delta*||A-A_k||_F", s)
+            "w.p. 1-3delta: 26k*sqrt(ln(2k/delta))/delta*||A-A_k||_F",
+            baseline)
     raise ArgumentError(
         f"unknown mode {mode!r} (expected spectral|frobenius|two_stage)")
 
@@ -248,6 +256,8 @@ def lower_bound_instance(n, alpha):
         raise ArgumentError(f"need n >= 2, got {n}")
     if not (alpha > 0):
         raise ArgumentError(f"need alpha > 0, got {alpha}")
+    if not math.isfinite(n + float(alpha) * float(alpha)):
+        raise ArgumentError(f"need n + alpha^2 finite, got alpha={alpha}")
     A = np.zeros((n + 1, n))
     A[0, :] = 1.0
     A[np.arange(1, n + 1), np.arange(n)] = alpha

@@ -15,7 +15,8 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd
 from .errors import ArgumentError
-from .linalg import apply_plan_columns, as_matrix, singular_values
+from .linalg import (apply_plan_columns, as_matrix, pow2_scaled,
+                     singular_values)
 from .samplers import subspace_sampling
 
 
@@ -115,8 +116,12 @@ def _lloyd_once(A, k, gen):
 
 def lloyd(A, k, restarts=1, seed=0):
     """Best of `restarts` k-means++ seeded Lloyd runs; ties keep the
-    lowest restart index, so more restarts never hurt."""
-    A = as_matrix(A)
+    lowest restart index, so more restarts never hurt.
+
+    Runs on A / 2^e (pow2_scaled), where squared distances neither
+    overflow nor underflow, so 2^j A gets the same labels as A.
+    """
+    A, _ = pow2_scaled(as_matrix(A))
     m = A.shape[0]
     if not (1 <= k <= m):
         raise ArgumentError(f"need 1 <= k <= m={m}, got k={k}")

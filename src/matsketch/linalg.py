@@ -163,10 +163,60 @@ def _pow2_unscaled(x, e):
         return float(np.ldexp(x, e))
 
 
-def _baselines(s, k):
-    """(sigma_{k+1}, ||A - A_k||_F) from A's singular value list."""
-    tail = s[k:]
-    return (float(tail[0]), frobenius_norm(tail)) if tail.size else (0.0, 0.0)
+def top_k(A, k):
+    """(Z, E, s): orthonormal n x k Z spanning A's top-k right singular
+    subspace, the residual E = A - A Z Z^T and the k Ritz values s, largest
+    first.
+
+    ARPACK's Lanczos runs on the smaller Gram matrix of A / 2^e to tol=0,
+    from a fixed start vector and with a fixed generator for its restarts
+    (scipy's svds draws those from OS entropy), so equal input gives equal
+    bits, and 2^j A gives the same Z and 2^j times E and s. k = min(m, n)
+    takes the dense SVD; an all-zero A gives the first k columns of I_n and
+    E = 0, s = 0.
+    """
+    S, e = pow2_scaled(as_matrix(A))
+    m, n = S.shape
+    if not 1 <= k <= min(m, n):
+        raise ArgumentError(f"need 1 <= k <= min(m,n)={min(m, n)}, got k={k}")
+    if not S.any():
+        Z, s = np.eye(n, k), np.zeros(k)
+    elif k == min(m, n):
+        _, s, Vt, _ = _svd(S, True)
+        Z = np.ascontiguousarray(Vt[:k].T)
+    else:
+        import scipy.sparse.linalg as sla  # ~30 ms to import; only top_k needs it
+
+        X = S if n <= m else S.T  # the Gram matrix X^T X is min(m, n) square
+        gram = sla.LinearOperator((X.shape[1],) * 2, dtype=float,
+                                  matvec=lambda v: X.T @ (X @ v))
+        gen = rng.stream(0, rng.TOP_K)
+        try:
+            _, V = sla.eigsh(gram, k, v0=gen.standard_normal(X.shape[1]),
+                             tol=0, rng=gen)
+        except sla.ArpackError as err:  # ArpackNoConvergence included
+            raise NumericError(f"ARPACK found no top-{k} subspace: {err}") from err
+        V, _ = np.linalg.qr(V)
+        if n <= m:
+            _, s, Wt = np.linalg.svd(S @ V, full_matrices=False)
+            Z = V @ Wt.T
+        else:
+            Z, s, _ = np.linalg.svd(S.T @ V, full_matrices=False)
+    E = S - (S @ Z) @ Z.T
+    return Z, np.ldexp(E, e), np.ldexp(s, e)
+
+
+def _baseline(top, norm):
+    """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") read from
+    top_k's (Z, E, s) as ||E||_2 or ||E||_F. Since A Z Z^T has rank k, these
+    are never below the exact values (up to rounding). Both read exactly 0.0
+    when ||E||_F <= rank_cutoff(s), so input of rank <= k has a zero
+    baseline instead of rounding noise."""
+    _, E, s = top
+    tail = frobenius_norm(E)
+    if tail <= rank_cutoff(s, E.shape):
+        return 0.0
+    return tail if norm == "frobenius" else spectral_norm(E)
 
 
 def _ratio(num, den, e, power=1):

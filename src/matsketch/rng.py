@@ -25,6 +25,7 @@ CSSP = 11
 CORESET = 12
 KMEANS = 13
 SUITE = 14
+TOP_K = 15
 
 _MASK64 = (1 << 64) - 1
 

@@ -61,6 +61,19 @@ def test_frobenius_k_validation():
     fast_frobenius_svd(A, 6, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("eps", [1e-300, 5e-324])
+def test_frobenius_tiny_eps_caps_the_sketch_at_n(eps):
+    # a width of k + ceil(k/eps + 1) columns made numpy refuse the Gaussian
+    # (or ceil refuse k/eps = inf); at width n the sketch spans col(A), so
+    # Z is the exact top-k subspace
+    A = lowrank_plus_noise(30, 20, 3, 0.2, seed=3)
+    basis = fast_frobenius_svd(A, 3, eps, seed=1)
+    assert basis.oversample == 20 - 3
+    s = np.linalg.svd(A, compute_uv=False)
+    assert np.linalg.norm(_residual(A, basis)) == pytest.approx(
+        np.linalg.norm(s[3:]), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # fast_spectral_svd
 

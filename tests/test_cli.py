@@ -13,7 +13,7 @@ import pytest
 import matsketch
 from matsketch import save_matrix
 from matsketch.cli import determinism_hash, main
-from matsketch.synthetic import lowrank_plus_noise
+from matsketch.synthetic import blobs, lowrank_plus_noise
 
 from conftest import rand, src_env
 
@@ -211,6 +211,70 @@ def test_report_does_not_change_when_input_is_scaled(capsys, tmp_path,
     if not name.startswith("sketch-svd"):
         scaled.add("bound_value")
     _assert_scaled(got, want, j, scaled)
+
+
+@pytest.mark.parametrize("j", [-900, 900])
+@pytest.mark.parametrize("argv", [["--method", "select", "--c0", "0.02"],
+                                  ["--method", "rp", "--c0", "0.5"],
+                                  ["--method", "svd"]],
+                         ids=["select", "rp", "svd"])
+def test_kmeans_report_does_not_change_when_input_is_scaled(capsys, tmp_path,
+                                                             argv, j):
+    # at 2^900 k-means++ seeding drew from NaN probabilities; at 2^-900
+    # the costs underflowed to zero and the ratio read 1.0
+    A, _ = blobs(120, 30, 3, 2.0, seed=5)
+    results = []
+    for scale in (0, j):
+        path = tmp_path / f"a{scale}.mtx"
+        save_matrix(path, np.ldexp(A, scale))
+        code, rep = run_cli(capsys, "kmeans", "-k", "3", "--eps", "0.3", *argv,
+                            "--in", str(path), "--seed", "3")
+        assert code == 0, rep
+        results.append(rep["results"])
+    want, got = results
+    assert want["ratio"] != 1.0
+    for key in ("ratio", "cluster_sizes_full", "cluster_sizes_reduced"):
+        assert got[key] == want[key], key
+
+
+def test_id_and_sketch_svd_baselines_take_no_full_size_svd(capsys,
+                                                           monkeypatch):
+    shape = (60, 40)
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == shape:
+            calls.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for argv in (["id", "-k", "3"],
+                 ["sketch-svd", "--mode", "spectral", "-k", "3"],
+                 ["sketch-svd", "--mode", "frobenius", "-k", "3"]):
+        code, rep = run_cli(capsys, *argv, "--trials", "2",
+                            "--synthetic", "lowrank:60,40,3,0.1")
+        assert code == 0, rep
+        assert rep["results"]["baseline"] > 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lowerbound", "-n", "6", "--alpha", "1e200", "-r", "2"], 2),
+    (["lowerbound", "-n", "6", "--alpha", "inf", "-r", "2"], 2),
+    (["sketch-svd", "-k", "2", "--eps", "1e-300",
+      "--synthetic", "lowrank:20,10,2,0.1"], 0),
+    (["kmeans", "-k", "3", "--method", "svd", "--eps", "1e-300",
+      "--synthetic", "blobs:60,10,3,6"], 0),
+], ids=["alpha-1e200", "alpha-inf", "sketch-svd-eps", "kmeans-svd-eps"])
+def test_extreme_arguments_end_in_a_report(capsys, argv, code):
+    # each of these ended in a traceback (OverflowError, "Maximum allowed
+    # dimension exceeded") or blamed A for a bad alpha
+    got, rep = run_cli(capsys, *argv)
+    assert got == code, rep
+    if code:
+        assert rep["error"]["type"] == "ArgumentError"
+        assert "alpha" in rep["error"]["message"]
 
 
 def test_exactly_rank_k_input_reports(capsys, tmp_path):

@@ -144,8 +144,9 @@ def test_column_selection_is_scale_equivariant(name, scale):
 
 @pytest.mark.parametrize("name", list(_RUNS))
 def test_certification_takes_no_extra_full_svd(monkeypatch, name):
-    # only the modes that need V (deterministic, and two_stage at k=1)
-    # factor A; any other full-size SVD is the values-only baseline
+    # baselines come from the residual of a top-k subspace (linalg.top_k);
+    # only deterministic cx_spectral, which reads V[:, k:] and rank(A),
+    # factors A in full
     A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
     calls = []
     real = np.linalg.svd
@@ -157,8 +158,17 @@ def test_certification_takes_no_extra_full_svd(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     _RUNS[name](A)
-    factors = name.endswith(("deterministic", "k1"))
-    assert calls == ([True] if factors else [False])
+    assert calls == ([True] if name == "cx_spectral-deterministic" else [])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cssp_two_stage_on_zero_input(k):
+    # at k=1 the first right singular vector of svd(0) was empty, and the
+    # sampler raised "X must be nonempty"
+    res = cssp(np.zeros((30, 20)), k, mode="two_stage", seed=1)
+    assert len(res.plan) == k
+    assert res.baseline_sigma == res.bound_value == 0.0
+    assert res.rank_k_error_frobenius == 0.0
 
 
 def test_cx_frobenius_zero_error_on_rank_k_input():
@@ -348,3 +358,7 @@ def test_lower_bound_argument_errors():
         lower_bound_instance(1, 1.0)
     with pytest.raises(ArgumentError):
         lower_bound_instance(5, 0.0)
+    # n + alpha^2 overflows: alpha ** 2 raised OverflowError in the CLI
+    for alpha in (1e200, math.inf):
+        with pytest.raises(ArgumentError, match="alpha"):
+            lower_bound_instance(5, alpha)

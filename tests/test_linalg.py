@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from matsketch import (ArgumentError, SamplingPlan, apply_plan_columns,
-                       apply_plan_rows, best_rank_k_in_subspace, boost_best,
-                       cx_frobenius, lower_bound_instance, pseudo_inverse,
-                       svd)
-from matsketch.linalg import frobenius_norm, singular_values, spectral_norm
+from matsketch import (ArgumentError, NumericError, SamplingPlan,
+                       apply_plan_columns, apply_plan_rows,
+                       best_rank_k_in_subspace, boost_best, cx_frobenius,
+                       lower_bound_instance, pseudo_inverse, svd)
+from matsketch.linalg import (_baseline, frobenius_norm, rank_cutoff,
+                              singular_values, spectral_norm, top_k)
 from matsketch.synthetic import lowrank_plus_noise, random_orthonormal
 
 from conftest import rand
@@ -108,6 +109,94 @@ def test_norms_of_a_zero_matrix_are_zero():
     for shape in [(3, 2), (2, 3), (1, 1)]:
         assert spectral_norm(np.zeros(shape)) == 0.0
         assert frobenius_norm(np.zeros(shape)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# top_k and the baselines read from its residual
+
+
+def _top_k_cases():
+    g = rand(42)
+    U = random_orthonormal(150, 100, seed=5)
+    V = random_orthonormal(100, 100, seed=6)
+    return {
+        "lowrank": (lowrank_plus_noise(60, 40, 3, 0.1, seed=7), 3),
+        "gapless": (g.normal(size=(200, 120)), 4),
+        "wide": (g.normal(size=(20, 50)), 4),
+        "decay": ((U / np.sqrt(np.arange(1, 101))) @ V.T, 4),
+        "k=1": (g.normal(size=(12, 10)), 1),
+        # rank 3 < ARPACK's Krylov width: Lanczos breaks down and restarts
+        "rank-3": (np.diag([3.0, 2.0, 1.0] + [0.0] * 27), 5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_top_k_cases()))
+def test_top_k_baselines_match_the_svd(name):
+    A, k = _top_k_cases()[name]
+    s = np.linalg.svd(A, compute_uv=False)
+    Z, E, ritz = top_k(A, k)
+    assert Z.shape == (A.shape[1], k)
+    assert np.abs(Z.T @ Z - np.eye(k)).max() <= 1e-14
+    np.testing.assert_allclose(E, A - A @ Z @ Z.T, rtol=0, atol=1e-14 * s[0])
+    np.testing.assert_allclose(ritz, s[:k], rtol=1e-12, atol=1e-14 * s[0])
+    for norm, want in (("spectral", s[k]), ("frobenius", np.linalg.norm(s[k:]))):
+        got = _baseline((Z, E, ritz), norm)
+        if want <= rank_cutoff(s, A.shape):
+            assert got == 0.0, norm
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0), norm
+
+
+@pytest.mark.parametrize("name", sorted(_top_k_cases()))
+def test_top_k_repeats_bit_for_bit(name):
+    A, k = _top_k_cases()[name]
+    first = top_k(A, k)
+    for _ in range(2):
+        for a, b in zip(top_k(A, k), first):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("j", [600, -600])
+def test_top_k_is_exact_under_power_of_two_scaling(j):
+    A, k = _top_k_cases()["lowrank"]
+    Z, E, s = top_k(A, k)
+    Zj, Ej, sj = top_k(np.ldexp(A, j), k)
+    assert np.array_equal(Zj, Z)
+    assert np.array_equal(Ej, np.ldexp(E, j))
+    assert np.array_equal(sj, np.ldexp(s, j))
+
+
+def test_top_k_degenerate_inputs():
+    # an all-zero A made ARPACK fail with an untyped error -9
+    Z, E, s = top_k(np.zeros((30, 20)), 3)
+    assert np.array_equal(Z.T @ Z, np.eye(3))
+    assert not E.any() and not s.any()
+    assert _baseline((Z, E, s), "spectral") == 0.0
+    # rank 3 < k: the baseline is exactly zero, not rounding noise
+    g = rand(43)
+    A = g.normal(size=(40, 3)) @ g.normal(size=(3, 30))
+    for k in (3, 5, 29, 30):  # k = min(m, n) = 30 takes the dense SVD
+        Z, E, s = top_k(A, k)
+        assert np.abs(Z.T @ Z - np.eye(k)).max() <= 1e-14
+        assert np.sum(s > rank_cutoff(s, A.shape)) == 3
+        for norm in ("spectral", "frobenius"):
+            assert _baseline((Z, E, s), norm) == 0.0
+    with pytest.raises(ArgumentError):
+        top_k(A, 31)
+    with pytest.raises(ArgumentError):
+        top_k(A, 0)
+
+
+def test_top_k_arpack_failure_is_a_numeric_error(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    with pytest.raises(NumericError, match="ARPACK"):
+        top_k(_top_k_cases()["lowrank"][0], 3)
 
 
 # ---------------------------------------------------------------------------
