@@ -14,7 +14,7 @@ import numpy as np
 from . import rng
 from .errors import ArgumentError
 from .linalg import (_subspace_factors, as_matrix, best_rank_k_in_subspace,
-                     pow2_scaled)
+                     formula_width, pow2_scaled)
 from .sketch import srht_rows
 
 
@@ -138,7 +138,8 @@ def srht_lowrank(A, k, eps, seed=0, r_override=None):
     if not (0 < eps < 0.5):
         raise ArgumentError(f"need 0 < eps < 1/2, got {eps}")
     if r_override is None:
-        r = math.ceil(200.0 * k * math.log(40.0 * k) * math.log2(40.0 * k * n) / eps)
+        r = formula_width(
+            200.0 * k * math.log(40.0 * k) * math.log2(40.0 * k * n), eps, 1)
     else:
         r = int(r_override)
     if r > n:

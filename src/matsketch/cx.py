@@ -182,8 +182,9 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
     frobenius: barrier stage of width 4k, then RRQR inside the sampled
     block; E ||A - CC+A||_F <= 9k ||A - A_k||_F.
     two_stage: leverage-score sampling of 8k ln(2k/delta) columns, then
-    RRQR; w.p. >= 1-3delta the error is within
-    26k sqrt(ln(2k/delta))/delta of ||A - A_k||_F.
+    RRQR on the rescaled sampled rows (at k=1 on the unweighted rows, whose
+    rescaled magnitudes are all equal); w.p. >= 1-3delta the error is
+    within 26k sqrt(ln(2k/delta))/delta of ||A - A_k||_F.
     """
     A = as_matrix(A)
     n = A.shape[1]
@@ -214,7 +215,11 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         r1 = math.ceil(8.0 * k * math.log(2.0 * k / delta))
         plan1 = subspace_sampling(Z, 1.0, max(r1, k),
                                   seed=rng.derive_seed(seed, rng.CSSP, 0))
-        inner = rrqr_select(apply_plan_rows(Z, plan1))
+        # at k=1 every weighted row has magnitude ||z||/sqrt(r), so any pick
+        # is a valid RRQR pivot and rounding would decide it; the unweighted
+        # rows make it the largest |z_i|, a stable function of A
+        rows = Z[plan1.indices] if k == 1 else apply_plan_rows(Z, plan1)
+        inner = rrqr_select(rows)
         sel = SamplingPlan(n, np.sort(plan1.indices[inner.indices]), 1.0)
         return _certify(
             A, k, sel, "frobenius",

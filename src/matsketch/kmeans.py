@@ -15,8 +15,8 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd
 from .errors import ArgumentError
-from .linalg import (apply_plan_columns, as_matrix, pow2_scaled,
-                     singular_values)
+from .linalg import (apply_plan_columns, as_matrix, formula_width,
+                     pow2_scaled, singular_values)
 from .samplers import subspace_sampling
 
 
@@ -136,7 +136,7 @@ def lloyd(A, k, restarts=1, seed=0):
 
 
 def selection_width(k, eps, c0):
-    return math.ceil(c0 * 4.0 * k * math.log(200.0 * k) / eps ** 2)
+    return formula_width(c0 * 4.0 * k * math.log(200.0 * k), eps)
 
 
 def reduce_features(A, k, eps, method="select", c0=4.0, seed=0):
@@ -174,7 +174,7 @@ def reduce_features(A, k, eps, method="select", c0=4.0, seed=0):
                                  seed=rng.derive_seed(seed, rng.KMEANS, 0))
         return apply_plan_columns(A, plan), plan
     if method == "rp":
-        r = math.ceil(c0 * k / eps ** 2)
+        r = formula_width(c0 * k, eps)
         if r >= n:
             raise ArgumentError(
                 f"reduction wider than input: r={r} >= n={n} (lower c0)")

@@ -38,6 +38,21 @@ def as_vector(b, name="b"):
     return b
 
 
+def formula_width(c, eps, power=2):
+    """ceil(c / eps^power), the row or column count of a width formula.
+
+    A tiny eps makes eps^power underflow to 0 or the quotient overflow;
+    the width is then no finite count, and the error names eps.
+    """
+    den = eps ** power
+    width = c / den if den > 0 else math.inf
+    if not math.isfinite(width):
+        raise ArgumentError(
+            f"eps={eps} is too small: the formula width "
+            f"{c:.6g}/eps^{power} is not a finite count")
+    return math.ceil(width)
+
+
 def rank_cutoff(s, shape):
     """Threshold below which singular values count as zero."""
     if len(s) == 0 or s[0] <= 0:

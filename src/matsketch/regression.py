@@ -18,8 +18,9 @@ import numpy as np
 from . import rng
 from .errors import ArgumentError, ConvergenceError, NumericError, RankError
 from .linalg import (_pow2_exponent, _pow2_unscaled, _ratio,
-                     apply_plan_rows, as_matrix, as_vector, frobenius_norm,
-                     pow2_scaled, pseudo_inverse, singular_values, svd)
+                     apply_plan_rows, as_matrix, as_vector, formula_width,
+                     frobenius_norm, pow2_scaled, pseudo_inverse,
+                     singular_values, svd)
 from .samplers import _barrier_core, _plan_from_weights, subspace_sampling
 from .sketch import srht_rows
 
@@ -71,12 +72,12 @@ def coreset_size(method, n, eps, delta, m):
     """The theorem's coreset row count for an m x n problem."""
     d = n + 1
     if method == "barrier":
-        return math.ceil(225.0 * d / eps ** 2)
+        return formula_width(225.0 * d, eps)
     if method == "subspace":
-        return math.ceil(36.0 * d * math.log(2.0 * d / delta) / eps ** 2)
+        return formula_width(36.0 * d * math.log(2.0 * d / delta), eps)
     if method == "srht":
-        return math.ceil(72.0 * d * math.log(2.0 * d / delta)
-                         * math.log2(40.0 * d * m) / eps ** 2)
+        return formula_width(72.0 * d * math.log(2.0 * d / delta)
+                             * math.log2(40.0 * d * m), eps)
     raise ArgumentError(
         f"unknown method {method!r} (expected barrier|subspace|srht)")
 

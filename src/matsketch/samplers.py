@@ -19,6 +19,11 @@ from .linalg import SamplingPlan, as_matrix, pow2_scaled, rank_cutoff, svd
 
 _ORTHO_TOL = 1e-10
 _SCAN_BLOCK = 64  # rows in the first barrier scan block
+# the LAPACK gufunc behind np.linalg.eigh (lower triangle), without the
+# wrapper's argument checks and error-state context: the same call at about
+# half the cost on the barrier's k x k matrices; where LAPACK does not
+# converge it returns NaNs, which the barrier checks then reject
+_eigh = np.linalg._umath_linalg.eigh_lo
 
 
 def additive_sampling(A, r, seed=0):
@@ -165,13 +170,6 @@ def _is_identity(M):
             and bool((M.diagonal() == 1.0).all()))
 
 
-def _lower_values(VW, d, denom):
-    """L(v_j) for a block of rows: barrier gain of the min-eigenvalue side."""
-    q1 = (VW * VW / d).sum(axis=1)
-    q2 = (VW * VW / (d * d)).sum(axis=1)
-    return q2 / denom - q1
-
-
 def _barrier_core(V, r, upper):
     """Shared greedy loop; returns the merged, rescaled weights s (length n).
 
@@ -193,6 +191,19 @@ def _barrier_core(V, r, upper):
     picks the smallest feasible index, so rows are scored in doubling prefix
     blocks (_SCAN_BLOCK, 2x, 4x, ...) up to the first block holding a
     feasible row; a row's values do not depend on its block.
+
+    A step costs one k x k eigh and a few dozen numpy calls on one block,
+    so the loop keeps the calls few. The block views are cut once, and the
+    eigenvalue terms of a step fill the rows of one buffer
+      G = [lam - L, d, d^2, e^2, e, U_tau - lam],
+    where (lam, W) = eigh(A), d = lam - L - 1 and e = c - lam; the last
+    three rows are kept on the single-set walk only. The row sums of 1/G
+    give both potential differences. With VW = (V W)^2 entrywise, one
+    broadcast divide of VW by the middle rows of G and one sum give all
+    the block's row sums: sum VW/d and sum VW/d^2 for the lower side, and
+    sum VW/e^2 and sum VW/e for the upper side of the single-set walk.
+    Each sum takes the same floating-point operations in the same order as
+    when it is taken on its own, so the grouping changes no bit.
     """
     n, k = V.shape
     if not (k < r):
@@ -212,64 +223,95 @@ def _barrier_core(V, r, upper):
         dU = total / shrink
         UF = upper / dU if total > 0 else np.zeros(n)
 
+    # (lo, rows of V, live mask, upper side) for each scan block
+    blocks = []
+    hi = 0
+    while hi < n:
+        lo, hi = hi, min(n, max(_SCAN_BLOCK, 2 * hi))
+        if same:
+            side = None
+        elif quadratic:
+            side = (upper[lo:hi], u_sq[lo:hi])
+        else:
+            side = UF[lo:hi]
+        blocks.append((lo, V[lo:hi], live[lo:hi], side))
+    # the eigenvalue terms of a step (see above) and views of their rows
+    G = np.empty((6 if same else 3, k))
+    G_inv = np.empty_like(G)
+    D_rows = G[1:5 if same else 3, None]  # broadcasts against block rows
+    gap, d, d2 = G[0], G[1], G[2]
+    if same:
+        e2, e, gapU = G[3], G[4], G[5]
+
     s = np.zeros(n)
     A_acc = np.zeros((k, k))
     for tau in range(int(r)):
         # row-independent quantities: once per step
         L = tau - sqrt_rk
-        lam, W = np.linalg.eigh(A_acc)
-        d = lam - (L + 1.0)
-        if d.min() <= 0:
+        lam, W = _eigh(A_acc)
+        np.subtract(lam, L, out=gap)
+        np.subtract(lam, L + 1.0, out=d)
+        if not d.min() > 0:  # also a nan from an eigh that did not converge
             raise NumericError("internal: lower barrier crossed")
-        denomL = float(np.sum(1.0 / d) - np.sum(1.0 / (lam - L)))
-        if denomL <= 0:
-            raise NumericError("internal: lower potential difference not positive")
+        np.multiply(d, d, out=d2)
         if quadratic:
             Uthr = dU * (tau + math.sqrt(ell * r))
             c = Uthr + dU
             if same:
-                nu = lam
+                np.subtract(c, lam, out=e)
+                np.subtract(Uthr, lam, out=gapU)
+                np.multiply(e, e, out=e2)
             else:
                 P = np.flatnonzero(s)
                 Y = np.sqrt(s[P])[:, None] * upper[P]
-                nu, Q = np.linalg.eigh(Y @ Y.T)
+                nu, Q = _eigh(Y @ Y.T)
                 R = Y.T @ Q
-            e = c - nu
-            if (e <= 0).any():
+                e = c - nu
+            if not e.min(initial=math.inf) > 0:
                 raise NumericError("internal: upper barrier crossed")
-            denomU = float(np.sum(1.0 / (Uthr - nu)) - np.sum(1.0 / e)) + (
-                ell - nu.size
-            ) * (1.0 / Uthr - 1.0 / c)
-            if denomU <= 0:
-                raise NumericError("internal: upper potential difference not positive")
-            if not same:
+        inv_sums = np.divide(1.0, G, out=G_inv).sum(axis=1)
+        denomL = float(inv_sums[1] - inv_sums[0])
+        if denomL <= 0:
+            raise NumericError("internal: lower potential difference not positive")
+        if quadratic:
+            if same:
+                denomU = float(inv_sums[5] - inv_sums[4])
+            else:
+                denomU = float((1.0 / (Uthr - nu)).sum() - (1.0 / e).sum()) + (
+                    ell - nu.size
+                ) * (1.0 / Uthr - 1.0 / c)
                 w1 = 1.0 / (c * e)
                 w2 = (c + e) / (c * c * e * e)
+            if denomU <= 0:
+                raise NumericError("internal: upper potential difference not positive")
 
         # per-row values, block by block, up to the first feasible row
         margin = math.inf
-        hi = 0
-        while hi < n:
-            lo, hi = hi, min(n, max(_SCAN_BLOCK, 2 * hi))
-            VW = V[lo:hi] @ W
-            Lvals = _lower_values(VW, d, denomL)
-            if not quadratic:
-                Uvals = UF[lo:hi]
-            elif same:
-                Uvals = (VW * VW / (e * e)).sum(axis=1) / denomU + (
-                    VW * VW / e
-                ).sum(axis=1)
-            else:
-                Z2 = upper[lo:hi] @ R
+        for lo, Vb, ok, side in blocks:
+            VW = Vb @ W
+            VW *= VW
+            sums = (VW / D_rows).sum(axis=2)
+            Lvals = sums[1] / denomL - sums[0]
+            if same:
+                Uvals = sums[2] / denomU + sums[3]
+            elif quadratic:
+                ub, Z2 = side[1], side[0] @ R
                 Z2 *= Z2
-                ub = u_sq[lo:hi]
                 Uvals = (ub / (c * c) + Z2 @ w2) / denomU + (ub / c + Z2 @ w1)
+            else:
+                Uvals = side
 
-            ok = live[lo:hi]
-            tol = 1e-9 * np.maximum(1.0, np.abs(Lvals))
-            feas = ok & (Uvals <= Lvals + tol) & (Uvals + Lvals > 0)
-            if feas.any():
-                i = int(np.argmax(feas))  # smallest feasible index
+            # feasible: live, U <= L + 1e-9 max(1, |L|) and U + L > 0
+            bar = np.abs(Lvals)
+            np.maximum(bar, 1.0, out=bar)
+            bar *= 1e-9
+            bar += Lvals
+            feas = Uvals <= bar
+            feas &= ok
+            total_UL = Uvals + Lvals
+            feas &= total_UL > 0
+            i = int(feas.argmax())  # smallest feasible index, if any
+            if feas[i]:
                 break
             margin = np.minimum(  # keeps a nan
                 margin, np.min(Uvals - Lvals, where=ok, initial=math.inf))
@@ -279,12 +321,12 @@ def _barrier_core(V, r, upper):
                 float(margin),
                 "check that the input columns are orthonormal",
             )
-        j = lo + i
-        t = 2.0 / (Uvals[i] + Lvals[i])
+        t = 2.0 / total_UL[i]
         if not (t > 0 and math.isfinite(t)):
             raise InfeasibleStepError(tau, t, "nonpositive or non-finite weight")
-        s[j] += t
-        A_acc += t * np.outer(V[j], V[j])
+        s[lo + i] += t
+        v = Vb[i]
+        A_acc += t * (v[:, None] * v)
 
     return s * (shrink / r)
 

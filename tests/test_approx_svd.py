@@ -187,6 +187,9 @@ def test_srht_lowrank_formula_width_exceeds_desk_inputs():
     A = rand(10).normal(size=(32, 64))
     with pytest.raises(ArgumentError, match="sketch wider than input"):
         srht_lowrank(A, 2, 0.45, seed=0)
+    # a subnormal eps makes the formula width infinite
+    with pytest.raises(ArgumentError, match="eps=5e-324 is too small"):
+        srht_lowrank(A, 2, 5e-324, seed=0)
 
 
 def test_srht_lowrank_relative_error_with_narrow_sketch():

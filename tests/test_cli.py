@@ -259,22 +259,42 @@ def test_id_and_sketch_svd_baselines_take_no_full_size_svd(capsys,
     assert calls == []
 
 
+_CORESET_INPUT = ["--synthetic", "lowrank:40,3,2,0.1"]
+_KMEANS_INPUT = ["--synthetic", "blobs:60,10,3,6"]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["lowerbound", "-n", "6", "--alpha", "1e200", "-r", "2"], 2),
     (["lowerbound", "-n", "6", "--alpha", "inf", "-r", "2"], 2),
     (["sketch-svd", "-k", "2", "--eps", "1e-300",
       "--synthetic", "lowrank:20,10,2,0.1"], 0),
     (["kmeans", "-k", "3", "--method", "svd", "--eps", "1e-300",
-      "--synthetic", "blobs:60,10,3,6"], 0),
-], ids=["alpha-1e200", "alpha-inf", "sketch-svd-eps", "kmeans-svd-eps"])
+      *_KMEANS_INPUT], 0),
+    (["coreset", "--method", "barrier", "--eps", "1e-300", *_CORESET_INPUT], 2),
+    (["coreset", "--method", "barrier", "--eps", "1e-160", *_CORESET_INPUT], 2),
+    (["coreset", "--method", "subspace", "--eps", "1e-300",
+      *_CORESET_INPUT], 2),
+    (["coreset", "--method", "srht", "--eps", "1e-300", *_CORESET_INPUT], 2),
+    (["coreset", "--method", "srht", "--eps", "1e-160", *_CORESET_INPUT], 2),
+    (["kmeans", "-k", "3", "--method", "rp", "--eps", "1e-300",
+      *_KMEANS_INPUT], 2),
+    (["kmeans", "-k", "3", "--method", "select", "--eps", "1e-300",
+      *_KMEANS_INPUT], 2),
+    (["kmeans", "-k", "3", "--method", "select", "--eps", "1e-160",
+      *_KMEANS_INPUT], 2),
+], ids=["alpha-1e200", "alpha-inf", "sketch-svd-eps", "kmeans-svd-eps",
+        "coreset-barrier-eps", "coreset-barrier-eps-overflow",
+        "coreset-subspace-eps", "coreset-srht-eps", "coreset-srht-eps-overflow",
+        "kmeans-rp-eps", "kmeans-select-eps", "kmeans-select-eps-overflow"])
 def test_extreme_arguments_end_in_a_report(capsys, argv, code):
-    # each of these ended in a traceback (OverflowError, "Maximum allowed
-    # dimension exceeded") or blamed A for a bad alpha
+    # each of these ended in a traceback (OverflowError, ZeroDivisionError,
+    # "Maximum allowed dimension exceeded") or blamed A for a bad alpha
     got, rep = run_cli(capsys, *argv)
     assert got == code, rep
     if code:
         assert rep["error"]["type"] == "ArgumentError"
-        assert "alpha" in rep["error"]["message"]
+        named = "alpha" if argv[0] == "lowerbound" else "eps"
+        assert named in rep["error"]["message"]
 
 
 def test_exactly_rank_k_input_reports(capsys, tmp_path):

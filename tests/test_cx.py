@@ -293,6 +293,19 @@ def test_cssp_two_stage_allows_k1():
     assert len(res.plan) == 1
 
 
+def test_cssp_two_stage_k1_pick_survives_rounding_noise():
+    # the rescaled sampled rows of a one-column Z all have magnitude
+    # ||z||/sqrt(r), so a pick made on them moved with the last bits of A
+    g = rand(19)
+    for A in (g.normal(size=(200, 120)),
+              lowrank_plus_noise(60, 40, 3, 0.1, seed=7)):
+        want = cssp(A, 1, mode="two_stage", seed=2).plan.indices
+        for _ in range(8):
+            B = A * (1.0 + 1e-16 * g.normal(size=A.shape))
+            got = cssp(B, 1, mode="two_stage", seed=2).plan.indices
+            assert np.array_equal(got, want)
+
+
 def test_cssp_rejects_k_at_column_count():
     A = rand(18).normal(size=(6, 4))
     with pytest.raises(ArgumentError):

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from matsketch import (ArgumentError, InfeasibleStepError, RankError,
-                       additive_sampling, adaptive_sampling,
+from matsketch import (ArgumentError, InfeasibleStepError, NumericError,
+                       RankError, additive_sampling, adaptive_sampling,
                        apply_plan_columns, barrier_dual_frobenius,
                        barrier_dual_general, barrier_dual_spectral,
                        barrier_single, best_rank_k_in_subspace,
@@ -431,3 +431,214 @@ def test_barrier_general_rejects_r_at_or_below_rank():
         barrier_dual_general(X, g.normal(size=(20, 2)), 2, mode="spectral")
     with pytest.raises(ArgumentError):
         barrier_dual_general(X, g.normal(size=(2, 20)), 14, mode="bogus")
+
+
+# ---------------------------------------------------------------------------
+# The barrier loop as it was before its per-step numpy calls were cut, kept
+# verbatim (only the names carry a _ref prefix) as an independent reference:
+# the loop must return bit-identical weights on every upper side and fail at
+# the same step with the same margin.
+
+_REF_SCAN_BLOCK = 64
+
+
+def _ref_lower_values(VW, d, denom):
+    """L(v_j) for a block of rows: barrier gain of the min-eigenvalue side."""
+    q1 = (VW * VW / d).sum(axis=1)
+    q2 = (VW * VW / (d * d)).sum(axis=1)
+    return q2 / denom - q1
+
+
+def _ref_barrier_core(V, r, upper):
+    """Shared greedy loop; returns the merged, rescaled weights s (length n).
+
+    upper is an n x ell matrix U for spectral control of ||U^T Omega S||_2
+    (V itself for the single-set walk, which then reuses the lower side's
+    eigenpairs), or a length-n vector of squared column norms for Frobenius
+    control by a constant per-index potential.
+
+    B = sum_j s_j u_j u_j^T is never formed: with Y = diag(sqrt(s_P)) U[P]
+    over the p <= tau picked rows P, eigh(Y Y^T) = (nu, Q), R = Y^T Q,
+    z = u R and c = U_tau + dU,
+      u^T (cI - B)^-1 u = |u|^2/c + sum z^2 / (c (c - nu)),
+      u^T (cI - B)^-2 u = |u|^2/c^2 + sum z^2 (2c - nu) / (c (c - nu))^2,
+      tr (xI - B)^-1 = (ell - p)/x + sum 1/(x - nu);
+    nothing divides by nu, so a singular Gram (p > ell) needs no care.
+
+    Rows with ||v_j||^2 <= eps k/n are round-off (zero input columns) and
+    never picked: their weight 2/(U + L) would be unbounded. Each step
+    picks the smallest feasible index, so rows are scored in doubling prefix
+    blocks (_REF_SCAN_BLOCK, 2x, 4x, ...) up to the first block holding a
+    feasible row; a row's values do not depend on its block.
+    """
+    n, k = V.shape
+    if not (k < r):
+        raise ArgumentError(f"need k < r, got k={k}, r={r}")
+    shrink = 1.0 - math.sqrt(k / r)
+    sqrt_rk = math.sqrt(r * k)
+    live = np.einsum("ij,ij->i", V, V) > np.finfo(float).eps * k / n
+
+    same = upper is V
+    quadratic = upper.ndim == 2
+    if quadratic:
+        ell = upper.shape[1]
+        dU = (1.0 + math.sqrt(ell / r)) / shrink
+        u_sq = np.einsum("ij,ij->i", upper, upper)
+    else:
+        total = float(upper.sum())
+        dU = total / shrink
+        UF = upper / dU if total > 0 else np.zeros(n)
+
+    s = np.zeros(n)
+    A_acc = np.zeros((k, k))
+    for tau in range(int(r)):
+        # row-independent quantities: once per step
+        L = tau - sqrt_rk
+        lam, W = np.linalg.eigh(A_acc)
+        d = lam - (L + 1.0)
+        if d.min() <= 0:
+            raise NumericError("internal: lower barrier crossed")
+        denomL = float(np.sum(1.0 / d) - np.sum(1.0 / (lam - L)))
+        if denomL <= 0:
+            raise NumericError("internal: lower potential difference not positive")
+        if quadratic:
+            Uthr = dU * (tau + math.sqrt(ell * r))
+            c = Uthr + dU
+            if same:
+                nu = lam
+            else:
+                P = np.flatnonzero(s)
+                Y = np.sqrt(s[P])[:, None] * upper[P]
+                nu, Q = np.linalg.eigh(Y @ Y.T)
+                R = Y.T @ Q
+            e = c - nu
+            if (e <= 0).any():
+                raise NumericError("internal: upper barrier crossed")
+            denomU = float(np.sum(1.0 / (Uthr - nu)) - np.sum(1.0 / e)) + (
+                ell - nu.size
+            ) * (1.0 / Uthr - 1.0 / c)
+            if denomU <= 0:
+                raise NumericError("internal: upper potential difference not positive")
+            if not same:
+                w1 = 1.0 / (c * e)
+                w2 = (c + e) / (c * c * e * e)
+
+        # per-row values, block by block, up to the first feasible row
+        margin = math.inf
+        hi = 0
+        while hi < n:
+            lo, hi = hi, min(n, max(_REF_SCAN_BLOCK, 2 * hi))
+            VW = V[lo:hi] @ W
+            Lvals = _ref_lower_values(VW, d, denomL)
+            if not quadratic:
+                Uvals = UF[lo:hi]
+            elif same:
+                Uvals = (VW * VW / (e * e)).sum(axis=1) / denomU + (
+                    VW * VW / e
+                ).sum(axis=1)
+            else:
+                Z2 = upper[lo:hi] @ R
+                Z2 *= Z2
+                ub = u_sq[lo:hi]
+                Uvals = (ub / (c * c) + Z2 @ w2) / denomU + (ub / c + Z2 @ w1)
+
+            ok = live[lo:hi]
+            tol = 1e-9 * np.maximum(1.0, np.abs(Lvals))
+            feas = ok & (Uvals <= Lvals + tol) & (Uvals + Lvals > 0)
+            if feas.any():
+                i = int(np.argmax(feas))  # smallest feasible index
+                break
+            margin = np.minimum(  # keeps a nan
+                margin, np.min(Uvals - Lvals, where=ok, initial=math.inf))
+        else:
+            raise InfeasibleStepError(
+                tau,
+                float(margin),
+                "check that the input columns are orthonormal",
+            )
+        j = lo + i
+        t = 2.0 / (Uvals[i] + Lvals[i])
+        if not (t > 0 and math.isfinite(t)):
+            raise InfeasibleStepError(tau, t, "nonpositive or non-finite weight")
+        s[j] += t
+        A_acc += t * np.outer(V[j], V[j])
+
+    return s * (shrink / r)
+
+
+def _coreset_factor(m, n, seed):
+    """U_Y of a coreset-barrier workload shape: [A, b] with b near range(A)."""
+    g = rand(seed)
+    A = g.normal(size=(m, n))
+    b = A @ g.normal(size=n) + 0.1 * g.normal(size=m)
+    return svd(np.column_stack([A, b])).U
+
+
+def _same_outcome(V, r, upper):
+    try:
+        want = _ref_barrier_core(V, r, upper)
+    except InfeasibleStepError as exc:
+        with pytest.raises(InfeasibleStepError) as got:
+            _barrier_core(V, r, upper)
+        assert (got.value.step, str(got.value)) == (exc.step, str(exc))
+        assert got.value.margin == exc.margin or (
+            math.isnan(got.value.margin) and math.isnan(exc.margin))
+        return exc
+    assert np.array_equal(_barrier_core(V, r, upper), want)
+    return want
+
+
+@pytest.mark.parametrize("m,n", [(2000, 3), (2000, 4), (4000, 3), (6000, 3)])
+def test_barrier_single_set_matches_reference_on_coreset_shapes(m, n):
+    V = _coreset_factor(m, n, seed=m + n)
+    _same_outcome(V, 400, V)
+
+
+def test_barrier_matches_reference_on_every_upper_side():
+    g = rand(30)
+    past_ell = []
+    for n, k, ell, r in [(40, 2, 3, 8), (200, 3, 2, 30), (90, 1, 4, 60),
+                         (150, 4, 6, 149), (50, 3, 3, 200)]:
+        V = random_orthonormal(n, k, seed=n + k)
+        U = random_orthonormal(n, ell, seed=n + ell + 1)
+        past_ell.append(np.count_nonzero(_same_outcome(V, r, U)) > ell)
+        _same_outcome(V, r, V)
+        _same_outcome(V, min(r, n), np.eye(n))
+        c_sq = g.normal(size=(5, n)) ** 2
+        _same_outcome(V, r, c_sq.sum(axis=0))
+        _same_outcome(V, r, np.zeros(n))
+    # more distinct picks than ell make the Gram Y Y^T singular
+    assert any(past_ell)
+
+
+def test_barrier_matches_reference_with_zero_rows():
+    # zero rows of V are never picked (the live mask), in any scan block
+    n, k, r = 300, 3, 40
+    V = np.zeros((n, k))
+    V[::3] = random_orthonormal(100, k, seed=31)
+    U = np.zeros((n, 4))
+    U[1::3] = random_orthonormal(100, 4, seed=32)
+    for upper in (V, U, np.eye(n), np.einsum("ij,ij->i", U, U)):
+        s = _same_outcome(V, r, upper)
+        assert not s[1::3].any() and not s[2::3].any()
+
+
+def test_barrier_infeasible_step_matches_reference():
+    n, k, r = 300, 2, 10
+    V = 1e-2 * random_orthonormal(n, k, seed=25)
+    V[-1] *= 5.0
+    for upper in (np.ones(n), random_orthonormal(n, 3, seed=33)):
+        assert isinstance(_same_outcome(V, r, upper), InfeasibleStepError)
+
+
+def test_eigh_gufunc_matches_numpy_eigh():
+    # the barrier calls the LAPACK gufunc behind np.linalg.eigh directly
+    g = rand(34)
+    for k in range(1, 9):
+        for _ in range(20):
+            M = g.normal(size=(k, k)) * 10.0 ** g.integers(-3, 4)
+            M = M + M.T
+            lam, W = samplers._eigh(M)
+            want = np.linalg.eigh(M)
+            assert np.array_equal(lam, want.eigenvalues)
+            assert np.array_equal(W, want.eigenvectors)
