@@ -24,8 +24,8 @@ from .cx import (cssp, cx_frobenius, cx_spectral, interpolative_decomposition,
 from .errors import ArgumentError, MatsketchError
 from .kmeans import kmeans_cost, lloyd, reduce_features
 from .linalg import (_baseline, _pow2_exponent, _pow2_unscaled, _ratio,
-                     _within, frobenius_norm, pow2_scaled, singular_values,
-                     spectral_norm, top_k)
+                     _residual, _within, frobenius_norm, pow2_scaled,
+                     singular_values, spectral_norm, top_k)
 from .mmio import load_matrix
 from .oracles import all_subset_errors
 from .regression import (RegressionProblem, build_coreset, coreset_size,
@@ -347,6 +347,12 @@ def _run_coreset(args):
     deterministic = args.method == "barrier"
     trials = 1 if deterministic else max(1, args.trials)
     seeds = [args.seed] if deterministic else _trial_seeds(args.seed, trials)
+    try:
+        r_formula = coreset_size(args.method, n, args.eps, args.delta, m)
+    except ArgumentError:
+        if args.r is None:  # the build needs the formula count
+            raise
+        r_formula = None  # -r replaces it; only the report reads it
     per = []
     for s in seeds:
         c = build_coreset(p, args.eps, method=args.method, delta=args.delta,
@@ -367,7 +373,7 @@ def _run_coreset(args):
         "params": {"method": args.method, "eps": args.eps, "delta": args.delta,
                    "r": args.r, "constraint": args.mode, "trials": trials},
         "results": {
-            "r_formula": coreset_size(args.method, n, args.eps, args.delta, m),
+            "r_formula": r_formula,
             "bound_value": 1.0 + args.eps,
             "bound_formula": "(1+eps)*||A x_opt - b||^2 on the squared objective",
             "bound_kind": "per-instance" if deterministic else "probabilistic",
@@ -420,7 +426,7 @@ def _run_sketch_svd(args):
     per = []
     for sd in _trial_seeds(args.seed, trials):
         basis = fn(A, k, args.eps, seed=sd)
-        err = norm(A - (A @ basis.Z) @ basis.Z.T)
+        err = norm(_residual(A, basis.Z))
         per.append({"algorithm_seed": sd, "error": err,
                     key: _ratio(err, base, ex, 2 if frob else 1)})
     mean_stat = _finite_mean([e[key] for e in per])

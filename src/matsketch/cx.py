@@ -15,9 +15,13 @@ the residual E = A - A Z Z^T of a converged top-k subspace Z
 (linalg.top_k, linalg._baseline), not of a full SVD: for any orthonormal
 Z it is never below sigma_{k+1} or ||A - A_k||_F, the structural lemma
 of Boutsidis-Drineas-Magdon-Ismail holds for that E, and it reads 0.0 on
-input of rank <= k. Only deterministic cx_spectral factors A in full,
-since it needs V[:, k:] and rank(A). The spectral error is
-sqrt(lambda_max) of the smaller Gram matrix of the residual
+input of rank <= k. Deterministic cx_spectral starts from top_k too: when
+m >= n and the Gram eigenvalues of E show rank(A) = n, its upper set is a
+basis of the complement of Z and its baseline ||E||_2 (_full_rank_split).
+Only when rank(A) = n cannot be established (rank < n, wide A, zero or
+duplicate columns, rank exactly k) does it factor A in full, for V[:, k:]
+and rank(A). The spectral error is sqrt(lambda_max) of the smaller Gram
+matrix of the residual, the top eigenvalue alone from LAPACK dsyevr
 (linalg.spectral_norm), within 2e-15 of the SVD value on 1000 x 600
 residuals. Errors and baselines are taken after exact power-of-two
 rescales, so they neither overflow nor underflow at any finite scale of
@@ -33,9 +37,10 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .errors import ArgumentError
-from .linalg import (SamplingPlan, _baseline, apply_plan_columns,
-                     apply_plan_rows, as_matrix, best_rank_k_in_subspace,
-                     frobenius_norm, rank_cutoff, spectral_norm, svd, top_k)
+from .linalg import (SamplingPlan, _baseline, _gram_eigenvalues, _norms,
+                     _pow2_unscaled, _residual, _sqrt_unscaled,
+                     _subspace_factors, apply_plan_columns, apply_plan_rows,
+                     as_matrix, pow2_scaled, rank_cutoff, svd, top_k)
 from .samplers import (adaptive_sampling, barrier_dual_frobenius,
                        barrier_dual_spectral, barrier_single, rrqr_select,
                        subspace_sampling)
@@ -56,17 +61,56 @@ class CxResult:
 def _certify(A, k, plan, norm, const, formula, baseline=None):
     """Measure the plan's rank-k errors and certify const * baseline, the
     baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from the residual
-    of top_k(A, k) (linalg._baseline) when the caller holds none."""
+    of top_k(A, k) (linalg._baseline) when the caller holds none.
+
+    R = A - Q (Q^T A)_k (linalg.best_rank_k_in_subspace) is formed in the
+    buffer of the product, and one rescaled copy of R gives both norms."""
     if baseline is None:
         baseline = _baseline(top_k(A, k), norm)
     C = apply_plan_columns(A, plan)
-    approx, _ = best_rank_k_in_subspace(A, C, k)
-    R = A - approx
-    return CxResult(plan=plan, C=C, rank_k_error_spectral=spectral_norm(R),
-                    rank_k_error_frobenius=frobenius_norm(R),
+    Q, W, Vt = _subspace_factors(A, C, k)
+    R = Q @ W @ Vt
+    spectral, frobenius = _norms(np.subtract(A, R, out=R))
+    return CxResult(plan=plan, C=C, rank_k_error_spectral=spectral,
+                    rank_k_error_frobenius=frobenius,
                     bound_value=float(const * baseline),
                     baseline_sigma=float(baseline), norm=norm,
                     bound_formula=formula)
+
+
+# rank(A) = n is trusted when A's smallest singular value off its top-k
+# subspace exceeds this fraction of sigma_1: the squared ratio 1e-6 stays
+# far above the Gram matrix's rounding, about n * eps.
+_FULL_RANK_RATIO = 1e-3
+
+
+def _full_rank_split(A, k):
+    """(Z, U, sigma) with Z top_k's n x k subspace, U an orthonormal basis
+    of its complement and sigma = ||A - A Z Z^T||_2, the baseline
+    linalg._baseline reads; None unless m >= n and rank(A) = n is
+    established.
+
+    The rank test reads the Ritz values and every eigenvalue of the Gram
+    matrix of E = A - A Z Z^T, which is zero on Z and, off Z, A^T A
+    compressed to Z's complement: rank(A) = n needs s_k above rank_cutoff
+    and its (k+1)-th smallest eigenvalue above _FULL_RANK_RATIO^2 s_1^2.
+    Then U U^T = I - Z Z^T, and the dual-set walk reads U only through that
+    product, so any basis of the complement gives V[:, k:]'s guarantee."""
+    m, n = A.shape
+    if m < n:
+        return None
+    Z, E, s = top_k(A, k)
+    if not s[k - 1] > rank_cutoff(s, A.shape):
+        return None
+    S, e = pow2_scaled(E)
+    del E
+    lam = _gram_eigenvalues(S)
+    del S
+    floor = _FULL_RANK_RATIO * _pow2_unscaled(s[0], -e)  # inf past the range
+    if not math.sqrt(max(lam[k], 0.0)) > floor:
+        return None
+    U = np.linalg.qr(Z, mode="complete")[0][:, k:]
+    return Z, U, _sqrt_unscaled(lam[-1], e)
 
 
 def _check_kr(A, k, r, min_k):
@@ -83,7 +127,8 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
     """Pick r > k rescaled columns with a spectral rank-k reconstruction bound.
 
     deterministic: dual barrier selection on the top-k and residual right
-    singular subspaces; the bound
+    singular subspaces (for rank(A) = n, the top-k subspace and any basis
+    of its complement); the bound
     sqrt(2) * (1 + (1+sqrt((rho-k)/r)) / (1-sqrt(k/r))) * sigma_{k+1}
     holds on every run (the sqrt(2) covers the restricted-SVD estimator).
     fast: sketch the top subspace first, then run the barrier against the
@@ -94,18 +139,24 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
     n = A.shape[1]
     if mode == "deterministic":
         shrink = _check_kr(A, k, r, 1)
-        f = svd(A)
-        rho = f.rank
-        if k > rho:
-            raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
+        split = _full_rank_split(A, k)
+        if split is not None:
+            Z, U, sigma = split
+            rho = n
+        else:
+            f = svd(A)
+            rho = f.rank
+            if k > rho:
+                raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
+            Z, U = f.V[:, :k], f.V[:, k:]
+            sigma = float(f.singular_values[k]) if rho > k else 0.0
         if rho > k:
-            plan = barrier_dual_spectral(f.V[:, :k], f.V[:, k:], r)
+            plan = barrier_dual_spectral(Z, U, r)
             const = 1.0 + (1.0 + math.sqrt((rho - k) / r)) / shrink
-            sigma = float(f.singular_values[k])
         else:
             # nothing outside the top subspace; a single-set run suffices
-            plan = barrier_single(f.V, r)
-            const, sigma = 1.0 + 1.0 / shrink, 0.0
+            plan = barrier_single(Z, r)
+            const = 1.0 + 1.0 / shrink
         formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
         return _certify(A, k, plan, "spectral", math.sqrt(2.0) * const,
                         formula, sigma)
@@ -144,7 +195,7 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
         Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
-        plan = barrier_dual_frobenius(Z, A - (A @ Z) @ Z.T, r)
+        plan = barrier_dual_frobenius(Z, _residual(A, Z), r)
         return _certify(A, k, plan, "frobenius",
                         math.sqrt(1.1 * (1.0 + 1.0 / shrink ** 2)),
                         "E: sqrt(1.1+1.1/(1-sqrt(k/r))^2)*||A-A_k||_F")
@@ -160,7 +211,7 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
                 "keeps the expectation bound but thins the safety margin",
                 stacklevel=2)
         Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
-        plan1 = barrier_dual_frobenius(Z, A - (A @ Z) @ Z.T, 4 * k)
+        plan1 = barrier_dual_frobenius(Z, _residual(A, Z), 4 * k)
         C1 = apply_plan_columns(A, plan1)
         plan2 = adaptive_sampling(A, C1, r - 4 * k,
                                   seed=rng.derive_seed(seed, rng.ADAPTIVE, 0))
@@ -200,7 +251,7 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
                         "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}")
     if mode == "frobenius":
         Z = fast_frobenius_svd(A, k, 0.5, seed=seed).Z
-        plan1 = barrier_dual_frobenius(Z, A - (A @ Z) @ Z.T, 4 * k)
+        plan1 = barrier_dual_frobenius(Z, _residual(A, Z), 4 * k)
         inner = rrqr_select(apply_plan_rows(Z, plan1))
         sel = SamplingPlan(n, plan1.indices[inner.indices], 1.0)
         return _certify(A, k, sel, "frobenius", 9.0 * k, "E: 9k*||A-A_k||_F")

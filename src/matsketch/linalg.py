@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import rng
 from .errors import ArgumentError, NumericError
@@ -183,12 +184,14 @@ def top_k(A, k):
     subspace, the residual E = A - A Z Z^T and the k Ritz values s, largest
     first.
 
-    ARPACK's Lanczos runs on the smaller Gram matrix of A / 2^e to tol=0,
-    from a fixed start vector and with a fixed generator for its restarts
-    (scipy's svds draws those from OS entropy), so equal input gives equal
-    bits, and 2^j A gives the same Z and 2^j times E and s. k = min(m, n)
-    takes the dense SVD; an all-zero A gives the first k columns of I_n and
-    E = 0, s = 0.
+    ARPACK's Lanczos runs on the explicit smaller Gram matrix of A / 2^e
+    (one product over A; each Lanczos step is then one min(m, n)-square
+    matvec) to tol=0, from a fixed start vector and with a fixed generator
+    for its restarts (scipy's svds draws those from OS entropy), so equal
+    input gives equal bits, and 2^j A gives the same Z and 2^j times E and
+    s. k = min(m, n) takes the dense SVD; an all-zero A gives the first k
+    columns of I_n and E = 0, s = 0. The scaled copy of A and E
+    (_residual) are the only m x n arrays built.
     """
     S, e = pow2_scaled(as_matrix(A))
     m, n = S.shape
@@ -203,11 +206,9 @@ def top_k(A, k):
         import scipy.sparse.linalg as sla  # ~30 ms to import; only top_k needs it
 
         X = S if n <= m else S.T  # the Gram matrix X^T X is min(m, n) square
-        gram = sla.LinearOperator((X.shape[1],) * 2, dtype=float,
-                                  matvec=lambda v: X.T @ (X @ v))
         gen = rng.stream(0, rng.TOP_K)
         try:
-            _, V = sla.eigsh(gram, k, v0=gen.standard_normal(X.shape[1]),
+            _, V = sla.eigsh(X.T @ X, k, v0=gen.standard_normal(X.shape[1]),
                              tol=0, rng=gen)
         except sla.ArpackError as err:  # ArpackNoConvergence included
             raise NumericError(f"ARPACK found no top-{k} subspace: {err}") from err
@@ -217,21 +218,29 @@ def top_k(A, k):
             Z = V @ Wt.T
         else:
             Z, s, _ = np.linalg.svd(S.T @ V, full_matrices=False)
-    E = S - (S @ Z) @ Z.T
-    return Z, np.ldexp(E, e), np.ldexp(s, e)
+    E = _residual(S, Z)
+    return Z, np.ldexp(E, e, out=E), np.ldexp(s, e)
+
+
+def _residual(A, Z):
+    """A - (A Z) Z^T, formed in the buffer of the product: the only m x n
+    array built."""
+    E = (A @ Z) @ Z.T
+    return np.subtract(A, E, out=E)
 
 
 def _baseline(top, norm):
     """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") read from
-    top_k's (Z, E, s) as ||E||_2 or ||E||_F. Since A Z Z^T has rank k, these
-    are never below the exact values (up to rounding). Both read exactly 0.0
-    when ||E||_F <= rank_cutoff(s), so input of rank <= k has a zero
-    baseline instead of rounding noise."""
+    top_k's (Z, E, s) as ||E||_2 or ||E||_F, both from one rescaled copy of
+    E (_norms). Since A Z Z^T has rank k, these are never below the exact
+    values (up to rounding). Both read exactly 0.0 when
+    ||E||_F <= rank_cutoff(s), so input of rank <= k has a zero baseline
+    instead of rounding noise."""
     _, E, s = top
-    tail = frobenius_norm(E)
+    spec, tail = _norms(E) if norm == "spectral" else (None, frobenius_norm(E))
     if tail <= rank_cutoff(s, E.shape):
         return 0.0
-    return tail if norm == "frobenius" else spectral_norm(E)
+    return spec if norm == "spectral" else tail
 
 
 def _ratio(num, den, e, power=1):
@@ -261,22 +270,50 @@ def frobenius_norm(M):
     return _pow2_unscaled(np.linalg.norm(S), e)
 
 
+def _gram_eigenvalues(S, top_only=False):
+    """Eigenvalues, ascending, of the smaller Gram matrix of S from LAPACK
+    dsyevr: all of them, or only the largest (one entry) with top_only.
+
+    S should be power-of-two rescaled (pow2_scaled) so the Gram entries
+    neither overflow nor underflow. Raises NumericError if LAPACK fails.
+    """
+    G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
+    p = G.shape[0]
+    try:
+        # G is exactly symmetric (numpy fills it from one syrk triangle), so
+        # its Fortran-order view G.T reaches LAPACK without a copy
+        return scipy.linalg.eigh(
+            G.T, eigvals_only=True, overwrite_a=True, check_finite=False,
+            subset_by_index=[p - 1, p - 1] if top_only else None, driver="evr")
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"symmetric eigensolver failed: {err}") from err
+
+
+def _sqrt_unscaled(lam, e):
+    """sqrt(lam) * 2^e for a Gram eigenvalue lam of M / 2^e, which rounding
+    can leave slightly below zero."""
+    return _pow2_unscaled(math.sqrt(max(float(lam), 0.0)), e)
+
+
 def spectral_norm(M):
     """||M||_2 as sqrt(lambda_max) of the smaller Gram matrix of M.
 
-    One Gram product and one eigvalsh instead of an SVD. The eigenvalue
-    step adds a relative error of O(min(m, n) * eps); the Gram product's
-    rounding adds at most m times that in the worst case. M is first
-    rescaled exactly by a power of two, so the Gram entries neither
-    overflow nor underflow.
+    One Gram product and one dsyevr call that computes the top eigenvalue
+    only, instead of an SVD. The eigenvalue step adds a relative error of
+    O(min(m, n) * eps); the Gram product's rounding adds at most m times
+    that in the worst case. M is first rescaled exactly by a power of two,
+    so the Gram entries neither overflow nor underflow.
     """
     S, e = pow2_scaled(as_matrix(M, "M"))
-    G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
-    try:
-        lam = float(np.linalg.eigvalsh(G)[-1])
-    except np.linalg.LinAlgError as err:
-        raise NumericError(f"eigvalsh failed to converge: {err}") from err
-    return _pow2_unscaled(math.sqrt(max(lam, 0.0)), e)
+    return _sqrt_unscaled(_gram_eigenvalues(S, top_only=True)[0], e)
+
+
+def _norms(M):
+    """(||M||_2, ||M||_F) of a 2-D M from one power-of-two-rescaled copy;
+    the same bits as (spectral_norm(M), frobenius_norm(M))."""
+    S, e = pow2_scaled(M)
+    frob = _pow2_unscaled(np.linalg.norm(S), e)
+    return _sqrt_unscaled(_gram_eigenvalues(S, top_only=True)[0], e), frob
 
 
 def pseudo_inverse(A):

@@ -276,6 +276,10 @@ _KMEANS_INPUT = ["--synthetic", "blobs:60,10,3,6"]
       *_CORESET_INPUT], 2),
     (["coreset", "--method", "srht", "--eps", "1e-300", *_CORESET_INPUT], 2),
     (["coreset", "--method", "srht", "--eps", "1e-160", *_CORESET_INPUT], 2),
+    (["coreset", "--method", "barrier", "--eps", "1e-300", "-r", "20",
+      *_CORESET_INPUT], 0),
+    (["coreset", "--method", "srht", "--eps", "1e-160", "-r", "20",
+      *_CORESET_INPUT], 0),
     (["kmeans", "-k", "3", "--method", "rp", "--eps", "1e-300",
       *_KMEANS_INPUT], 2),
     (["kmeans", "-k", "3", "--method", "select", "--eps", "1e-300",
@@ -285,6 +289,7 @@ _KMEANS_INPUT = ["--synthetic", "blobs:60,10,3,6"]
 ], ids=["alpha-1e200", "alpha-inf", "sketch-svd-eps", "kmeans-svd-eps",
         "coreset-barrier-eps", "coreset-barrier-eps-overflow",
         "coreset-subspace-eps", "coreset-srht-eps", "coreset-srht-eps-overflow",
+        "coreset-barrier-eps-r", "coreset-srht-eps-overflow-r",
         "kmeans-rp-eps", "kmeans-select-eps", "kmeans-select-eps-overflow"])
 def test_extreme_arguments_end_in_a_report(capsys, argv, code):
     # each of these ended in a traceback (OverflowError, ZeroDivisionError,
@@ -295,6 +300,9 @@ def test_extreme_arguments_end_in_a_report(capsys, argv, code):
         assert rep["error"]["type"] == "ArgumentError"
         named = "alpha" if argv[0] == "lowerbound" else "eps"
         assert named in rep["error"]["message"]
+    elif "-r" in argv:
+        # -r replaces the formula count, which then has no finite value
+        assert rep["results"]["r_formula"] is None
 
 
 def test_exactly_rank_k_input_reports(capsys, tmp_path):
@@ -378,6 +386,18 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert proc.stdout == f"matsketch {matsketch.__version__}\n"
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.sparse.linalg (top_k) and scipy.optimize (NNLS) are imported on
+    # first use; an eager scipy.optimize import added ~0.3 s to every start
+    probe = ("import sys, matsketch.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'sparse'], "
+             "['scipy', 'optimize'])))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(shutil.which("matsketch") is None,

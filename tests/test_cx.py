@@ -7,10 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from matsketch import (ArgumentError, barrier_dual_spectral, cssp,
-                       cx_frobenius, cx_spectral, fast_spectral_svd,
+from matsketch import (ArgumentError, barrier_dual_spectral, barrier_single,
+                       best_rank_k_in_subspace, cssp, cx_frobenius,
+                       cx_spectral, fast_spectral_svd,
                        interpolative_decomposition, lower_bound_instance,
                        pseudo_inverse, svd)
+from matsketch.cx import _certify, _check_kr
+from matsketch.linalg import as_matrix, frobenius_norm, spectral_norm
 from matsketch.synthetic import lowrank_plus_noise
 
 from conftest import plan_digest, rand
@@ -142,23 +145,119 @@ def test_column_selection_is_scale_equivariant(name, scale):
         assert getattr(got, field) == getattr(want, field) * scale, field
 
 
-@pytest.mark.parametrize("name", list(_RUNS))
-def test_certification_takes_no_extra_full_svd(monkeypatch, name):
-    # baselines come from the residual of a top-k subspace (linalg.top_k);
-    # only deterministic cx_spectral, which reads V[:, k:] and rank(A),
-    # factors A in full
-    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+def _count_full_svds(monkeypatch, shape):
+    """The compute_uv flag of every np.linalg.svd call on a `shape` matrix
+    from here on."""
     calls = []
     real = np.linalg.svd
 
     def counting(a, *args, **kwargs):
-        if np.shape(a) == A.shape:
+        if np.shape(a) == shape:
             calls.append(kwargs.get("compute_uv", True))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_certification_takes_no_extra_full_svd(monkeypatch, name):
+    # baselines come from the residual of a top-k subspace (linalg.top_k);
+    # on this full-column-rank, tall input deterministic cx_spectral takes
+    # its upper set from the complement of that subspace too
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    calls = _count_full_svds(monkeypatch, A.shape)
     _RUNS[name](A)
-    assert calls == ([True] if name == "cx_spectral-deterministic" else [])
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_certified_errors_are_the_norms_of_the_residual(name):
+    # _certify forms A - approx in place and takes both norms from one
+    # rescaled copy; the bits are those of the plain expressions
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    res = _RUNS[name](A)
+    approx, _ = best_rank_k_in_subspace(A, res.C, 1 if name.endswith("k1") else 3)
+    assert res.rank_k_error_spectral == spectral_norm(A - approx)
+    assert res.rank_k_error_frobenius == frobenius_norm(A - approx)
+
+
+def _ref_cx_spectral_deterministic(A, k, r):
+    """Deterministic cx_spectral with one full svd(A) on every input, as it
+    was before the full-rank path; kept verbatim as the reference."""
+    A = as_matrix(A)
+    shrink = _check_kr(A, k, r, 1)
+    f = svd(A)
+    rho = f.rank
+    if k > rho:
+        raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
+    if rho > k:
+        plan = barrier_dual_spectral(f.V[:, :k], f.V[:, k:], r)
+        const = 1.0 + (1.0 + math.sqrt((rho - k) / r)) / shrink
+        sigma = float(f.singular_values[k])
+    else:
+        # nothing outside the top subspace; a single-set run suffices
+        plan = barrier_single(f.V, r)
+        const, sigma = 1.0 + 1.0 / shrink, 0.0
+    formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
+    return _certify(A, k, plan, "spectral", math.sqrt(2.0) * const,
+                    formula, sigma)
+
+
+_FIELDS = ("rank_k_error_spectral", "rank_k_error_frobenius", "bound_value",
+           "baseline_sigma")
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
+                         ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("shape, k, r", [((60, 40), 3, 10), ((200, 120), 4, 20)],
+                         ids=["60x40", "200x120"])
+def test_full_rank_cx_spectral_matches_the_svd_path(monkeypatch, shape, k, r,
+                                                     scale):
+    # rank(A) = n: the upper set is any basis of the top-k subspace's
+    # complement, which gives the walk the same potentials as V[:, k:]
+    A = lowrank_plus_noise(*shape, k, 0.1, seed=shape[0]) * scale
+    want = _ref_cx_spectral_deterministic(A, k, r)
+    calls = _count_full_svds(monkeypatch, A.shape)
+    got = cx_spectral(A, k, r)
+    assert calls == []
+    assert np.array_equal(got.plan.indices, want.plan.indices)
+    np.testing.assert_allclose(got.plan.weights, want.plan.weights,
+                               rtol=1e-12, atol=0)
+    for field in _FIELDS:
+        assert getattr(got, field) == pytest.approx(getattr(want, field),
+                                                    rel=1e-12, abs=0), field
+    assert got.bound_formula == want.bound_formula
+
+
+def _fallback_cases():
+    g = rand(23)
+    deficient = g.normal(size=(60, 10)) @ g.normal(size=(10, 40))
+    zero = lowrank_plus_noise(60, 30, 3, 0.05, seed=0)
+    zero[:, [4, 11, 20]] = 0.0
+    dup = lowrank_plus_noise(60, 30, 3, 0.05, seed=1)
+    dup[:, 17] = dup[:, 2]
+    return {
+        "rank-deficient": (deficient, 3, 12),
+        "zero-columns": (zero, 3, 8),
+        "duplicate-column": (dup, 3, 8),
+        "wide": (lowrank_plus_noise(30, 50, 3, 0.1, seed=2), 3, 10),
+        "rank-k": (g.normal(size=(40, 3)) @ g.normal(size=(3, 30)), 3, 8),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fallback_cases()))
+def test_cx_spectral_keeps_the_svd_path_unless_rank_is_n(monkeypatch, name):
+    A, k, r = _fallback_cases()[name]
+    want = _ref_cx_spectral_deterministic(A, k, r)
+    calls = _count_full_svds(monkeypatch, A.shape)
+    got = cx_spectral(A, k, r)
+    assert calls == [True]
+    assert np.array_equal(got.plan.indices, want.plan.indices)
+    assert np.array_equal(got.plan.weights, want.plan.weights)
+    assert np.array_equal(got.C, want.C)
+    for field in _FIELDS:
+        assert getattr(got, field) == getattr(want, field), field
 
 
 @pytest.mark.parametrize("k", [1, 2])

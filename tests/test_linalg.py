@@ -83,6 +83,8 @@ def _norm_cases():
         "column": g.normal(size=(30, 1)),
         "rank-1": np.outer(g.normal(size=40), g.normal(size=25)),
         "graded": g.normal(size=(40, 30)) * np.logspace(0, -12, 30),
+        "1x1": g.normal(size=(1, 1)),
+        "zero": np.zeros((7, 5)),
     }
 
 
@@ -90,10 +92,22 @@ def _norm_cases():
                          ids=["1", "2^600", "2^-600"])
 @pytest.mark.parametrize("name", sorted(_norm_cases()))
 def test_spectral_norm_matches_svd_norm(name, scale):
+    # the top eigenvalue alone (LAPACK dsyevr) of the smaller Gram matrix
     M = _norm_cases()[name]
-    want = np.linalg.norm(M, 2)
+    want = np.linalg.svd(M, compute_uv=False)[0]
     got = spectral_norm(M * scale)
-    assert got / scale == pytest.approx(want, rel=1e-12, abs=0)
+    assert got / scale == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_spectral_norm_lapack_failure_is_a_numeric_error(monkeypatch):
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("the eigenvalue did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+    with pytest.raises(NumericError, match="eigensolver"):
+        spectral_norm(_norm_cases()["tall"])
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
