@@ -23,9 +23,10 @@ from .cx import (cssp, cx_frobenius, cx_spectral, interpolative_decomposition,
                  lower_bound_instance)
 from .errors import ArgumentError, MatsketchError
 from .kmeans import kmeans_cost, lloyd, reduce_features
-from .linalg import (_baseline, _pow2_exponent, _pow2_unscaled, _ratio,
-                     _residual, _within, frobenius_norm, pow2_scaled,
-                     singular_values, spectral_norm, top_k)
+from .linalg import (_baseline, _gram_projected_norm, _pow2_exponent,
+                     _pow2_unscaled, _ratio, _residual, _top_k, _within,
+                     as_matrix, frobenius_norm, pow2_scaled, singular_values,
+                     spectral_norm, top_k)
 from .mmio import load_matrix
 from .oracles import all_subset_errors
 from .regression import (RegressionProblem, build_coreset, coreset_size,
@@ -417,16 +418,24 @@ def _run_kmeans(args):
 
 def _run_sketch_svd(args):
     A, source, _ = _load_input(args)
+    A = as_matrix(A)
     ex = _pow2_exponent(A)
     k, frob = args.k, args.mode == "frobenius"
-    base = _baseline(top_k(A, k), args.mode)
+    Z, E, s, gram = _top_k(A, k)
+    base = _baseline((Z, E, s), args.mode, gram)
+    del E
     fn, norm, key = ((fast_frobenius_svd, frobenius_norm, "sq_ratio") if frob
                      else (fast_spectral_svd, spectral_norm, "ratio"))
     trials = max(1, args.trials)
     per = []
     for sd in _trial_seeds(args.seed, trials):
         basis = fn(A, k, args.eps, seed=sd)
-        err = norm(_residual(A, basis.Z))
+        # the spectral error from A's one Gram matrix; the residual only
+        # where that certifies no bound
+        err = (None if frob or gram is None
+               else _gram_projected_norm(gram, A.shape[0], basis.Z))
+        if err is None:
+            err = norm(_residual(A, basis.Z))
         per.append({"algorithm_seed": sd, "error": err,
                     key: _ratio(err, base, ex, 2 if frob else 1)})
     mean_stat = _finite_mean([e[key] for e in per])

@@ -20,12 +20,19 @@ m >= n and the Gram eigenvalues of E show rank(A) = n, its upper set is a
 basis of the complement of Z and its baseline ||E||_2 (_full_rank_split).
 Only when rank(A) = n cannot be established (rank < n, wide A, zero or
 duplicate columns, rank exactly k) does it factor A in full, for V[:, k:]
-and rank(A). The spectral error is sqrt(lambda_max) of the smaller Gram
-matrix of the residual, the top eigenvalue alone from LAPACK dsyevr
-(linalg.spectral_norm), within 2e-15 of the SVD value on 1000 x 600
-residuals. Errors and baselines are taken after exact power-of-two
-rescales, so they neither overflow nor underflow at any finite scale of
-A, and 2^j A gives 2^j times the numbers of A.
+and rank(A). Both errors, and a spectral baseline read in _certify, come
+from the one Gram matrix G of A / 2^e that top_k builds, not from an
+m x n residual: R^T R = A^T A - B_k^T B_k for B_k = (Q^T A)_k, so each
+plan costs a rank-k update of G. The spectral error is the square root
+of a certified upper end of lambda_max (Lanczos, then a Cholesky
+factorization that proves the bound; linalg._lambda_max_upper), at most
+1e-10 relative above the SVD value of the formed residual; on the
+1000 x 600 benchmark input about 1e-11 above it. A wide A, cancellation (input of
+rank <= k) or a failed ARPACK or Cholesky call falls back to forming R
+and taking its top Gram eigenvalue alone (LAPACK dsyevr). Errors and
+baselines are taken after exact power-of-two rescales, so they neither
+overflow nor underflow at any finite scale of A, and 2^j A gives 2^j
+times the numbers of A.
 """
 
 import math
@@ -37,10 +44,11 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .errors import ArgumentError
-from .linalg import (SamplingPlan, _baseline, _gram_eigenvalues, _norms,
-                     _pow2_unscaled, _residual, _sqrt_unscaled,
-                     _subspace_factors, apply_plan_columns, apply_plan_rows,
-                     as_matrix, pow2_scaled, rank_cutoff, svd, top_k)
+from .linalg import (SamplingPlan, _baseline, _gram, _gram_eigenvalues,
+                     _gram_residual_norms, _norms, _plan_columns,
+                     _pow2_exponent, _pow2_unscaled, _residual, _sqrt_unscaled,
+                     _subspace_factors, _top_k, apply_plan_rows, as_matrix,
+                     rank_cutoff, svd)
 from .samplers import (adaptive_sampling, barrier_dual_frobenius,
                        barrier_dual_spectral, barrier_single, rrqr_select,
                        subspace_sampling)
@@ -58,19 +66,35 @@ class CxResult:
     bound_formula: str
 
 
-def _certify(A, k, plan, norm, const, formula, baseline=None):
+def _certify(A, k, plan, norm, const, formula, baseline=None, gram=None):
     """Measure the plan's rank-k errors and certify const * baseline, the
-    baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from the residual
-    of top_k(A, k) (linalg._baseline) when the caller holds none.
+    baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from top_k(A, k)
+    and its Gram matrix (linalg._baseline) when the caller holds none.
 
-    R = A - Q (Q^T A)_k (linalg.best_rank_k_in_subspace) is formed in the
-    buffer of the product, and one rescaled copy of R gives both norms."""
+    A is trusted: the public entry validated it. Both errors come from
+    gram = (G, e), the Gram matrix of A / 2^e (top_k's, or linalg._gram
+    where the caller passes none), which this call overwrites:
+    linalg._gram_residual_norms updates it by the rank-k fit and certifies
+    an upper end of the spectral error. Where it does not (A wider than
+    tall, a certificate margin above 1e-10 relative, as on input of
+    rank <= k, or an ARPACK or Cholesky failure), R = A - Q (Q^T A)_k is
+    formed in the buffer of the product and one rescaled copy of R gives
+    both norms."""
     if baseline is None:
-        baseline = _baseline(top_k(A, k), norm)
-    C = apply_plan_columns(A, plan)
-    Q, W, Vt = _subspace_factors(A, C, k)
-    R = Q @ W @ Vt
-    spectral, frobenius = _norms(np.subtract(A, R, out=R))
+        Z, E, s, gram = _top_k(A, k)
+        baseline = _baseline((Z, E, s), norm, gram)
+        del E
+    elif gram is None:
+        gram = _gram(A)
+    C = _plan_columns(A, plan)
+    Q, W, Vt, s = _subspace_factors(A, C, k)
+    errors = None
+    if gram is not None and s.size:
+        errors = _gram_residual_norms(gram, A.shape[0], s, Vt)
+    if errors is None:
+        R = Q @ W @ Vt
+        errors = _norms(np.subtract(A, R, out=R))
+    spectral, frobenius = errors
     return CxResult(plan=plan, C=C, rank_k_error_spectral=spectral,
                     rank_k_error_frobenius=frobenius,
                     bound_value=float(const * baseline),
@@ -85,10 +109,10 @@ _FULL_RANK_RATIO = 1e-3
 
 
 def _full_rank_split(A, k):
-    """(Z, U, sigma) with Z top_k's n x k subspace, U an orthonormal basis
-    of its complement and sigma = ||A - A Z Z^T||_2, the baseline
-    linalg._baseline reads; None unless m >= n and rank(A) = n is
-    established.
+    """(Z, U, sigma, gram) with Z top_k's n x k subspace, U an orthonormal
+    basis of its complement, sigma = ||A - A Z Z^T||_2, the baseline
+    linalg._baseline reads, and top_k's Gram matrix for _certify; None
+    unless m >= n and rank(A) = n is established.
 
     The rank test reads the Ritz values and every eigenvalue of the Gram
     matrix of E = A - A Z Z^T, which is zero on Z and, off Z, A^T A
@@ -99,18 +123,17 @@ def _full_rank_split(A, k):
     m, n = A.shape
     if m < n:
         return None
-    Z, E, s = top_k(A, k)
+    Z, E, s, gram = _top_k(A, k)
     if not s[k - 1] > rank_cutoff(s, A.shape):
         return None
-    S, e = pow2_scaled(E)
+    e = _pow2_exponent(E)
+    lam = _gram_eigenvalues(np.ldexp(E, -e, out=E))  # pow2_scaled, in place
     del E
-    lam = _gram_eigenvalues(S)
-    del S
     floor = _FULL_RANK_RATIO * _pow2_unscaled(s[0], -e)  # inf past the range
     if not math.sqrt(max(lam[k], 0.0)) > floor:
         return None
     U = np.linalg.qr(Z, mode="complete")[0][:, k:]
-    return Z, U, _sqrt_unscaled(lam[-1], e)
+    return Z, U, _sqrt_unscaled(lam[-1], e), gram
 
 
 def _check_kr(A, k, r, min_k):
@@ -140,8 +163,9 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
     if mode == "deterministic":
         shrink = _check_kr(A, k, r, 1)
         split = _full_rank_split(A, k)
+        gram = None
         if split is not None:
-            Z, U, sigma = split
+            Z, U, sigma, gram = split
             rho = n
         else:
             f = svd(A)
@@ -159,7 +183,7 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
             const = 1.0 + 1.0 / shrink
         formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
         return _certify(A, k, plan, "spectral", math.sqrt(2.0) * const,
-                        formula, sigma)
+                        formula, sigma, gram)
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
         basis = fast_spectral_svd(A, k, 1, seed=seed)
@@ -183,15 +207,17 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
     A = as_matrix(A)
     if mode == "deterministic":
         shrink = _check_kr(A, k, r, 1)
-        top = Z, E, s = top_k(A, k)
+        Z, E, s, gram = _top_k(A, k)
         rho = int(np.sum(s > rank_cutoff(s, A.shape)))
         if k > rho:
             raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
         plan = barrier_dual_frobenius(Z, E, r)
+        baseline = _baseline((Z, E, s), "frobenius")
+        del E
         return _certify(A, k, plan, "frobenius",
                         math.sqrt(1.0 + 1.0 / shrink ** 2),
                         "sqrt(1+1/(1-sqrt(k/r))^2)*||A-A_k||_F",
-                        _baseline(top, "frobenius"))
+                        baseline, gram)
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
         Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
@@ -212,7 +238,7 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
                 stacklevel=2)
         Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
         plan1 = barrier_dual_frobenius(Z, _residual(A, Z), 4 * k)
-        C1 = apply_plan_columns(A, plan1)
+        C1 = _plan_columns(A, plan1)
         plan2 = adaptive_sampling(A, C1, r - 4 * k,
                                   seed=rng.derive_seed(seed, rng.ADAPTIVE, 0))
         plan = SamplingPlan(n, np.concatenate([plan1.indices, plan2.indices]),
@@ -258,9 +284,11 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
     if mode == "two_stage":
         if not (0.0 < delta < 1.0):
             raise ArgumentError(f"need 0 < delta < 1, got {delta}")
+        gram = None
         if k == 1:
-            top = top_k(A, 1)
-            Z, baseline = top[0], _baseline(top, "frobenius")
+            Z, E, s, gram = _top_k(A, 1)
+            baseline = _baseline((Z, E, s), "frobenius")
+            del E
         else:
             Z, baseline = fast_frobenius_svd(A, k, 0.5, seed=seed).Z, None
         r1 = math.ceil(8.0 * k * math.log(2.0 * k / delta))
@@ -276,7 +304,7 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
             A, k, sel, "frobenius",
             26.0 * k * math.sqrt(math.log(2.0 * k / delta)) / delta,
             "w.p. 1-3delta: 26k*sqrt(ln(2k/delta))/delta*||A-A_k||_F",
-            baseline)
+            baseline, gram)
     raise ArgumentError(
         f"unknown mode {mode!r} (expected spectral|frobenius|two_stage)")
 

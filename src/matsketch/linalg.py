@@ -118,12 +118,12 @@ class SamplingPlan:
         return self.indices.size
 
 
-def _svd(A, compute_uv):
-    """np.linalg.svd of A / 2^e as (U, s, Vt, e): 2^j A gives A's factors
-    and 2^j s. LAPACK rescales max |A| outside [2^-459, 2^459] itself, not
-    by a power of two, so an A with |e| > 400 is divided by 2^e first; any
-    other is passed as it is (e = 0), where LAPACK commutes with 2^j."""
-    S = as_matrix(A)
+def _svd(S, compute_uv):
+    """np.linalg.svd of a validated S / 2^e as (U, s, Vt, e): 2^j S gives
+    S's factors and 2^j s. LAPACK rescales max |S| outside [2^-459, 2^459]
+    itself, not by a power of two, so an S with |e| > 400 is divided by 2^e
+    first; any other is passed as it is (e = 0), where LAPACK commutes with
+    2^j."""
     e = _pow2_exponent(S)
     e = e if abs(e) > 400 else 0
     S = np.ldexp(S, -e) if e else S
@@ -134,12 +134,9 @@ def _svd(A, compute_uv):
     return (out + (e,)) if compute_uv else (None, out, None, e)
 
 
-def svd(A):
-    """Thin SVD with the numerical-rank cutoff applied.
-
-    Raises NumericError if the LAPACK kernel fails to converge.
-    """
-    U, s, Vt, e = _svd(A, True)
+def _rank_svd(S):
+    """svd of a validated S."""
+    U, s, Vt, e = _svd(S, True)
     rho = int(np.sum(s > rank_cutoff(s, U.shape[:1] + Vt.shape[1:])))
     return SvdFactors(
         U=np.ascontiguousarray(U[:, :rho]),
@@ -149,10 +146,19 @@ def svd(A):
     )
 
 
+def svd(A):
+    """Thin SVD with the numerical-rank cutoff applied.
+
+    Raises NumericError if the LAPACK kernel fails to converge.
+    """
+    return _rank_svd(as_matrix(A))
+
+
 def singular_values(A):
     """The singular values `svd(A)` keeps, from one values-only LAPACK call."""
+    A = as_matrix(A)
     _, s, _, e = _svd(A, False)
-    return np.ldexp(s[s > rank_cutoff(s, np.shape(A))], e)
+    return np.ldexp(s[s > rank_cutoff(s, A.shape)], e)
 
 
 def _pow2_exponent(*arrays):
@@ -173,6 +179,13 @@ def pow2_scaled(M):
     return np.ldexp(M, -e), e
 
 
+def _pow2_view(A):
+    """pow2_scaled(A) for a validated A that is only read: A itself, not a
+    copy, where e = 0."""
+    e = _pow2_exponent(A)
+    return (np.ldexp(A, -e) if e else A), e
+
+
 def _pow2_unscaled(x, e):
     """x * 2^e as a float; inf where the result exceeds the float range."""
     with np.errstate(over="ignore"):
@@ -190,28 +203,40 @@ def top_k(A, k):
     for its restarts (scipy's svds draws those from OS entropy), so equal
     input gives equal bits, and 2^j A gives the same Z and 2^j times E and
     s. k = min(m, n) takes the dense SVD; an all-zero A gives the first k
-    columns of I_n and E = 0, s = 0. The scaled copy of A and E
-    (_residual) are the only m x n arrays built.
+    columns of I_n and E = 0, s = 0. The scaled copy of A (none where e = 0)
+    and E (_residual) are the only m x n arrays built.
     """
-    S, e = pow2_scaled(as_matrix(A))
+    return _top_k(as_matrix(A), k)[:3]
+
+
+def _top_k(A, k):
+    """top_k of a validated A as (Z, E, s, gram): gram is the (G, e) of
+    _gram when the Lanczos ran on A's n x n Gram matrix (m >= n), which the
+    spectral error of a rank-k fit of A is then measured from
+    (_gram_residual_norms), else None."""
+    S, e = _pow2_view(A)
     m, n = S.shape
     if not 1 <= k <= min(m, n):
         raise ArgumentError(f"need 1 <= k <= min(m,n)={min(m, n)}, got k={k}")
+    G = None
     if not S.any():
         Z, s = np.eye(n, k), np.zeros(k)
     elif k == min(m, n):
         _, s, Vt, _ = _svd(S, True)
         Z = np.ascontiguousarray(Vt[:k].T)
     else:
-        import scipy.sparse.linalg as sla  # ~30 ms to import; only top_k needs it
+        import scipy.sparse.linalg as sla  # ~30 ms to import; only ARPACK needs it
 
         X = S if n <= m else S.T  # the Gram matrix X^T X is min(m, n) square
+        X = X.T @ X
         gen = rng.stream(0, rng.TOP_K)
         try:
-            _, V = sla.eigsh(X.T @ X, k, v0=gen.standard_normal(X.shape[1]),
+            _, V = sla.eigsh(X, k, v0=gen.standard_normal(X.shape[0]),
                              tol=0, rng=gen)
         except sla.ArpackError as err:  # ArpackNoConvergence included
             raise NumericError(f"ARPACK found no top-{k} subspace: {err}") from err
+        G = X if n <= m else None
+        del X
         V, _ = np.linalg.qr(V)
         if n <= m:
             _, s, Wt = np.linalg.svd(S @ V, full_matrices=False)
@@ -219,7 +244,18 @@ def top_k(A, k):
         else:
             Z, s, _ = np.linalg.svd(S.T @ V, full_matrices=False)
     E = _residual(S, Z)
-    return Z, np.ldexp(E, e, out=E), np.ldexp(s, e)
+    return (Z, np.ldexp(E, e, out=E), np.ldexp(s, e),
+            None if G is None else (G, e))
+
+
+def _gram(A):
+    """(G, e): the Gram matrix G = S^T S of S = A / 2^e (pow2_scaled), the
+    one top_k runs its Lanczos on, for a validated A with m >= n; else
+    None."""
+    if A.shape[0] < A.shape[1]:
+        return None
+    S, e = _pow2_view(A)
+    return S.T @ S, e
 
 
 def _residual(A, Z):
@@ -229,14 +265,21 @@ def _residual(A, Z):
     return np.subtract(A, E, out=E)
 
 
-def _baseline(top, norm):
+def _baseline(top, norm, gram=None):
     """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") read from
-    top_k's (Z, E, s) as ||E||_2 or ||E||_F, both from one rescaled copy of
-    E (_norms). Since A Z Z^T has rank k, these are never below the exact
-    values (up to rounding). Both read exactly 0.0 when
+    top_k's (Z, E, s) as ||E||_2 or ||E||_F. Since A Z Z^T has rank k, these
+    are never below the exact values (up to rounding). With top_k's gram,
+    ||E||_2 is the certified upper end _gram_projected_norm reads from it;
+    otherwise, or where that certifies none, both norms come from one
+    rescaled copy of E (_norms), and both read exactly 0.0 when
     ||E||_F <= rank_cutoff(s), so input of rank <= k has a zero baseline
-    instead of rounding noise."""
-    _, E, s = top
+    instead of rounding noise. (A certified ||E||_2^2 exceeds 1e10 times
+    the Gram slack, at least 1e-6 m s_1^2, so it is never that small.)"""
+    Z, E, s = top
+    if norm == "spectral" and gram is not None:
+        spec = _gram_projected_norm(gram, E.shape[0], Z)
+        if spec is not None:
+            return spec
     spec, tail = _norms(E) if norm == "spectral" else (None, frobenius_norm(E))
     if tail <= rank_cutoff(s, E.shape):
         return 0.0
@@ -316,6 +359,148 @@ def _norms(M):
     return _sqrt_unscaled(_gram_eigenvalues(S, top_only=True)[0], e), frob
 
 
+# unit roundoff of float64; _gamma(j) is Higham's gamma_j = j u / (1 - j u),
+# the relative rounding bound of a j-term inner product
+_U = 2.0 ** -53
+
+
+def _gamma(j):
+    return j * _U / (1.0 - j * _U)
+
+
+# a Gram-form certificate is kept only while its margin tau is at most this
+# fraction of the Ritz value: past it the cancellation in forming the
+# residual's Gram matrix from A's has cost more digits than forming the
+# residual would
+_GRAM_TAU_RATIO = 1e-10
+
+
+def _lambda_max_upper(G, slack):
+    """theta_bar >= lambda_max(G*) for every symmetric G* within slack of G
+    in the 2-norm, or None when it is not certified below
+    (1 + _GRAM_TAU_RATIO) theta.
+
+    G is a C-ordered symmetric n x n (n >= 2) matrix of which only the upper
+    triangle is read, and the call overwrites it. ARPACK's Lanczos (eigsh,
+    which="LA", tol=0, with top_k's fixed start vector and generator) gives
+    a Ritz value theta. dpotrf then factors H = c I - G in G's own buffer,
+    with c = (1 + gamma_{n+1}) theta, a shift at the scale of Cholesky's
+    own rounding so that this nearly singular H factors. Formed in floats,
+    H's diagonal rounds by at most u (c + max |g_ii|), u = 2^-53. A
+    Cholesky factorization that runs to completion gives R^T R = H + dH
+    with |dH| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm. 10.3; it holds for the blocked algorithm
+    too), so ||dH||_2 <= gamma_{n+1} rho with
+    rho = min(||R||_F^2, ||R||_1 ||R||_inf) >= || |R| ||_2^2; gamma_{2n+4}
+    in place of gamma_{n+1} covers the rounding of rho itself. R^T R is
+    positive definite, so by Sylvester's law of inertia no eigenvalue of
+    the exact c I - G lies below -(u (c + max |g_ii|) + gamma_{n+1} rho),
+    and
+
+        lambda_max(G*) <= c + slack + u (c + max |g_ii|) + gamma_{2n+4} rho,
+
+    returned times (1 + 4u) for the rounding of the sum: theta + tau. None
+    when ARPACK fails, when a Cholesky pivot is not positive (c below
+    lambda_max(G), or too near it) or when tau > _GRAM_TAU_RATIO theta
+    (theta <= 0, or a slack large against it).
+    """
+    import scipy.sparse.linalg as sla  # ~30 ms to import; only ARPACK needs it
+    from scipy.linalg.blas import dsymv
+    from scipy.linalg.lapack import dpotrf
+
+    n = G.shape[0]
+    F = G.T  # Fortran order; its lower triangle is G's upper
+    op = sla.LinearOperator((n, n), dtype=float,
+                            matvec=lambda x: dsymv(1.0, F, x, lower=1))
+    gen = rng.stream(0, rng.TOP_K)
+    try:
+        theta = float(sla.eigsh(op, 1, which="LA", v0=gen.standard_normal(n),
+                                tol=0, rng=gen, return_eigenvectors=False)[0])
+    except sla.ArpackError:  # ArpackNoConvergence included
+        return None
+    if not slack <= _GRAM_TAU_RATIO * theta:
+        return None
+    c = theta + _gamma(n + 1) * theta
+    d = G.diagonal()
+    round_h = _U * (c + max(float(d.max()), -float(d.min())))
+    np.negative(G, out=G)
+    G.flat[::n + 1] += c
+    _, info = dpotrf(F, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        return None
+    flat = G.ravel()
+    rho = float(flat @ flat)
+    np.abs(G, out=G)
+    rho = min(rho, float(G.sum(axis=0).max()) * float(G.sum(axis=1).max()))
+    bar = (c + slack + round_h + _gamma(2 * n + 4) * rho) * (1.0 + 4.0 * _U)
+    return bar if bar - theta <= _GRAM_TAU_RATIO * theta else None
+
+
+def _gram_residual_norms(gram, m, s, Vt):
+    """(||R||_2, ||R||_F) of R = A - Q W Vt, for the (Q, W, Vt, s) of
+    _subspace_factors(A, C, k), from gram = (G, e) = _gram(A) without
+    forming R; None when _lambda_max_upper certifies no bound. G is
+    overwritten.
+
+    With B = Q^T A and B_k = W Vt its truncated SVD (singular values s),
+    R^T R = A^T A - B_k^T B_k, since Q^T Q = I and B_k's rows are orthogonal
+    to those of B - B_k. So R^T R / 4^e = G - Vt^T diag(s^2 / 4^e) Vt, a
+    rank-k update of G in its own buffer (dsyrk), and
+    ||R||_F^2 / 4^e = tr(G) - sum s^2 / 4^e. The computed G is within
+    gamma_m || |S|^T |S| ||_2 <= gamma_m tr(S^T S) of S^T S, S = A / 2^e
+    (Higham, Thm. 3.5 and || |S| ||_2 <= ||S||_F), and the update adds at
+    most gamma_{k+1} (|| |G| ||_2 + sum s^2 / 4^e) <= 2 gamma_{k+1} tr(G);
+    slack = gamma_{m+2k+4} tr(G) covers both with their second-order
+    terms. The bound is on lambda_max(A^T A - B_k^T B_k) for the computed
+    factors, which miss Q^T Q = I and the exact truncation of Q^T A by
+    rounding that the residual formed in floats carries too.
+
+    tau <= _GRAM_TAU_RATIO theta also bounds the Frobenius cancellation:
+    tr(G) u / ||R||_F^2 <= slack / theta.
+    """
+    from scipy.linalg.blas import dsyrk
+
+    G, e = gram
+    t = float(np.trace(G))
+    s = np.ldexp(s, -e)
+    dsyrk(-1.0, Vt.T * s, beta=1.0, c=G.T, lower=1, overwrite_c=1)
+    lam = _lambda_max_upper(G, _gamma(m + 2 * s.size + 4) * t)
+    if lam is None:
+        return None
+    return _sqrt_unscaled(lam, e), _sqrt_unscaled(t - float(s @ s), e)
+
+
+def _gram_projected_norm(gram, m, Z):
+    """||A - A Z Z^T||_2 for an n x k Z with orthonormal columns, from
+    gram = (G, e) = _gram(A) without forming the residual (G is kept);
+    None when _lambda_max_upper certifies no bound.
+
+    For any Z, R = A (I - Z Z^T) has R^T R / 4^e = P G P, P = I - Z Z^T,
+    = G - W Z^T - Z W^T with Y = G Z, X = Z^T Y and W = Y - Z X / 2 (X is
+    symmetric), one rank-2k update of a copy of G (dsyr2k). Besides G's
+    own rounding, gamma_m tr(G) as in _gram_residual_norms, the products
+    round by at most, with g = ||G||_inf >= || |G| ||_2, ||Z||_2 = 1 and
+    ||Z||_F = sqrt(k): 3 sqrt(k) gamma_n g through Y, k gamma_n g through
+    X, (k gamma_k + 3 sqrt(k) u) g through W and (3k + 1) gamma_{2k+1} g in
+    the update. slack = gamma_{m+4} tr(G) + (3 sqrt(k) + k + 1)
+    gamma_{n+7k} g covers them with their second-order terms.
+    """
+    from scipy.linalg.blas import dsyr2k
+
+    G, e = gram
+    n, k = Z.shape
+    P = np.abs(G)
+    g = float(P.sum(axis=1).max())
+    np.copyto(P, G)
+    Y = G @ Z
+    W = Y - Z @ (Z.T @ Y) * 0.5
+    dsyr2k(-1.0, W, Z, beta=1.0, c=P.T, lower=1, overwrite_c=1)
+    slack = (_gamma(m + 4) * float(np.trace(G))
+             + (3.0 * math.sqrt(k) + k + 1.0) * _gamma(n + 7 * k) * g)
+    lam = _lambda_max_upper(P, slack)
+    return None if lam is None else _sqrt_unscaled(lam, e)
+
+
 def pseudo_inverse(A):
     """Moore-Penrose pseudo-inverse via the rank-truncated SVD."""
     A = as_matrix(A)
@@ -333,7 +518,11 @@ def orth_basis(C):
 
 def apply_plan_columns(A, plan):
     """C = A * Omega * S: picked columns of A, rescaled, in plan order."""
-    A = as_matrix(A)
+    return _plan_columns(as_matrix(A), plan)
+
+
+def _plan_columns(A, plan):
+    """apply_plan_columns of a validated A."""
     if plan.source_dim != A.shape[1]:
         raise ArgumentError(
             f"plan source_dim {plan.source_dim} != A.cols {A.shape[1]}"
@@ -350,20 +539,21 @@ def apply_plan_rows(A, plan):
 
 
 def _subspace_factors(A, C, k):
-    """(Q, W, Vt) with Q W Vt = Q (Q^T A)_k, Q an orthonormal basis of
-    col(C); callers that need only Vt never form the m x n product."""
-    A = as_matrix(A)
-    C = as_matrix(C, "C")
+    """(Q, W, Vt, s) with Q W Vt = Q (Q^T A)_k, Q an orthonormal basis of
+    col(C) and s the singular values of (Q^T A)_k, for a validated A and a
+    finite C; callers that need only Vt never form the m x n product."""
+    C = np.ascontiguousarray(C)
     if C.shape[0] != A.shape[0]:
         raise ArgumentError("C.rows must equal A.rows")
     if not (1 <= k <= C.shape[1]):
         raise ArgumentError(f"need 1 <= k <= C.cols, got k={k}, C.cols={C.shape[1]}")
-    Q = orth_basis(C)
+    Q = _rank_svd(C).U
     if Q.shape[1] == 0:
-        return Q, np.zeros((0, 0)), np.zeros((0, A.shape[1]))
+        return Q, np.zeros((0, 0)), np.zeros((0, A.shape[1])), np.zeros(0)
     Ub, sb, Vbt, e = _svd(Q.T @ A, True)
     t = min(k, len(sb))
-    return Q, Ub[:, :t] * np.ldexp(sb[:t], e), Vbt[:t]
+    s = np.ldexp(sb[:t], e)
+    return Q, Ub[:, :t] * s, Vbt[:t], s
 
 
 def best_rank_k_in_subspace(A, C, k):
@@ -376,7 +566,7 @@ def best_rank_k_in_subspace(A, C, k):
 
     If rank(C) < k the approximation (and Z) may have rank < k.
     """
-    Q, W, Vt = _subspace_factors(A, C, k)
+    Q, W, Vt, _ = _subspace_factors(as_matrix(A), as_matrix(C, "C"), k)
     return Q @ W @ Vt, np.ascontiguousarray(Vt.T)
 
 

@@ -152,7 +152,7 @@ def _ortho_deviation(M):
     """max |M^T M - I|: how far the columns of M are from orthonormal."""
     G = M.T @ M
     G.flat[:: G.shape[0] + 1] -= 1.0
-    return float(np.max(np.abs(G)))
+    return float(np.max(np.abs(G, out=G)))
 
 
 def _check_orthonormal(M, name):

@@ -12,8 +12,10 @@ from matsketch import (ArgumentError, barrier_dual_spectral, barrier_single,
                        cx_spectral, fast_spectral_svd,
                        interpolative_decomposition, lower_bound_instance,
                        pseudo_inverse, svd)
+from matsketch import cx as cx_module
+from matsketch import linalg
 from matsketch.cx import _certify, _check_kr
-from matsketch.linalg import as_matrix, frobenius_norm, spectral_norm
+from matsketch.linalg import SamplingPlan, _norms, as_matrix
 from matsketch.synthetic import lowrank_plus_noise
 
 from conftest import plan_digest, rand
@@ -173,13 +175,114 @@ def test_certification_takes_no_extra_full_svd(monkeypatch, name):
 
 @pytest.mark.parametrize("name", list(_RUNS))
 def test_certified_errors_are_the_norms_of_the_residual(name):
-    # _certify forms A - approx in place and takes both norms from one
-    # rescaled copy; the bits are those of the plain expressions
+    # the spectral error is a certified upper end of ||A - approx||_2, at
+    # most 1e-10 above it; the Frobenius error is ||A - approx||_F
     A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
     res = _RUNS[name](A)
     approx, _ = best_rank_k_in_subspace(A, res.C, 1 if name.endswith("k1") else 3)
-    assert res.rank_k_error_spectral == spectral_norm(A - approx)
-    assert res.rank_k_error_frobenius == frobenius_norm(A - approx)
+    s = np.linalg.svd(A - approx, compute_uv=False)
+    assert s[0] <= res.rank_k_error_spectral <= s[0] * (1 + 1e-10)
+    assert res.rank_k_error_frobenius == pytest.approx(np.linalg.norm(s),
+                                                       rel=1e-13, abs=0)
+
+
+def _fit_norms(A, C, k):
+    """_norms of the formed residual A - Q (Q^T A)_k: the bits of the
+    residual path."""
+    approx, _ = best_rank_k_in_subspace(A, C, k)
+    return _norms(A - approx)
+
+
+def _certify_plain(A, k, plan, gram=None):
+    return _certify(A, k, plan, "spectral", 1.0, "", 1.0, gram)
+
+
+def _fallback_inputs():
+    g = rand(24)
+    return {
+        "rank-k": g.normal(size=(60, 3)) @ g.normal(size=(3, 40)),
+        "wide": lowrank_plus_noise(30, 50, 3, 0.1, seed=2),
+        "zero": np.zeros((30, 20)),
+        "full-rank": lowrank_plus_noise(60, 40, 3, 0.1, seed=7),
+    }
+
+
+@pytest.mark.parametrize("case", ["rank-k", "wide", "zero", "cholesky",
+                                  "arpack"])
+def test_certify_falls_back_to_the_residual(monkeypatch, case):
+    # cancellation (rank-k input), no Gram matrix (wide, all-zero), a
+    # Cholesky pivot <= 0 or an ARPACK error: the residual's own norms
+    import scipy.linalg.lapack
+    import scipy.sparse.linalg as sla
+
+    A = _fallback_inputs().get(case, _fallback_inputs()["full-rank"])
+    plan = SamplingPlan(A.shape[1], np.arange(8), 1.0)
+    gram = linalg._gram(A)
+    if case == "cholesky":
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
+                            lambda a, **kw: (a, 1))
+    if case == "arpack":
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                          np.zeros((0, 0)))
+
+        monkeypatch.setattr(sla, "eigsh", no_convergence)
+    declined = []
+    real = linalg._gram_residual_norms
+
+    def spy(*args):
+        out = real(*args)
+        declined.append(out is None)
+        return out
+
+    monkeypatch.setattr(cx_module, "_gram_residual_norms", spy)
+    res = _certify_plain(A, 3, plan, gram)
+    assert declined == ([] if case in ("wide", "zero") else [True])
+    assert (res.rank_k_error_spectral, res.rank_k_error_frobenius) == \
+        _fit_norms(A, res.C, 3)
+
+
+@pytest.mark.parametrize("name", list(_RUNS))
+def test_certification_runs_no_dense_eigensolver(monkeypatch, name):
+    # on this tall, full-rank input every plan is measured from A's Gram
+    # matrix: no residual Gram goes to LAPACK's dsyevr
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    inside, dense = [], []
+    certify, eigenvalues = cx_module._certify, linalg._gram_eigenvalues
+
+    def tracking(*args, **kwargs):
+        inside.append(True)
+        try:
+            return certify(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(*args, **kwargs):
+        dense.extend(inside[:1])
+        return eigenvalues(*args, **kwargs)
+
+    monkeypatch.setattr(cx_module, "_certify", tracking)
+    monkeypatch.setattr(linalg, "_gram_eigenvalues", counting)
+    monkeypatch.setattr(cx_module, "_gram_eigenvalues", counting)
+    _RUNS[name](A)
+    assert dense == []
+
+
+def test_certify_validates_a_at_most_once(monkeypatch):
+    # the public entry validates A; _certify and its helpers trust it
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    plan = SamplingPlan(40, np.arange(8), 1.0)
+    seen = []
+    real = linalg.as_matrix
+
+    def counting(M, *args, **kwargs):
+        seen.append(np.shape(M))
+        return real(M, *args, **kwargs)
+
+    for module in (linalg, cx_module):
+        monkeypatch.setattr(module, "as_matrix", counting)
+    _certify(A, 3, plan, "spectral", 1.0, "")
+    assert seen.count(A.shape) <= 1
 
 
 def _ref_cx_spectral_deterministic(A, k, r):

@@ -1,5 +1,7 @@
 """Core container, SVD, plan application, restricted projection, boosting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from matsketch import (ArgumentError, NumericError, SamplingPlan,
                        apply_plan_columns, apply_plan_rows,
                        best_rank_k_in_subspace, boost_best, cx_frobenius,
                        lower_bound_instance, pseudo_inverse, svd)
-from matsketch.linalg import (_baseline, frobenius_norm, rank_cutoff,
-                              singular_values, spectral_norm, top_k)
+from matsketch.linalg import (_baseline, _gram, _gram_residual_norms,
+                              _lambda_max_upper, _subspace_factors,
+                              frobenius_norm, rank_cutoff, singular_values,
+                              spectral_norm, top_k)
 from matsketch.synthetic import lowrank_plus_noise, random_orthonormal
 
 from conftest import rand
@@ -211,6 +215,70 @@ def test_top_k_arpack_failure_is_a_numeric_error(monkeypatch):
     monkeypatch.setattr(sla, "eigsh", no_convergence)
     with pytest.raises(NumericError, match="ARPACK"):
         top_k(_top_k_cases()["lowrank"][0], 3)
+
+
+# ---------------------------------------------------------------------------
+# the rank-k fit's errors from A's Gram matrix (certified lambda_max)
+
+
+def _gram_fit_cases():
+    g = rand(44)
+    Q0, _ = np.linalg.qr(g.normal(size=(80, 4)))
+    u = g.normal(size=80)
+    u -= Q0 @ (Q0.T @ u)
+    u /= np.linalg.norm(u)
+    return {
+        "tall": (lowrank_plus_noise(200, 120, 4, 0.1, seed=3), None, 4),
+        # C spans col(Q0 B) exactly, so the residual is the rank-1 u v^T
+        "rank-1-residual": (Q0 @ g.normal(size=(4, 30))
+                            + np.outer(u, g.normal(size=30)), Q0, 4),
+        "square": (g.normal(size=(50, 50)), None, 5),
+    }
+
+
+def _gram_fit(A, C, k):
+    """(the Gram-path errors or None, the residual R) of the rank-k fit of
+    A in col(C); C defaults to the first 3k columns of A."""
+    A = np.ascontiguousarray(A)
+    C = A[:, :3 * k] if C is None else C
+    Q, W, Vt, s = _subspace_factors(A, C, k)
+    return (_gram_residual_norms(_gram(A), A.shape[0], s, Vt),
+            A - Q @ W @ Vt)
+
+
+@pytest.mark.parametrize("name", sorted(_gram_fit_cases()))
+def test_gram_errors_bound_the_svd_norms(name):
+    got, R = _gram_fit(*_gram_fit_cases()[name])
+    sv = np.linalg.svd(R, compute_uv=False)
+    assert got is not None
+    assert sv[0] ** 2 <= got[0] ** 2 <= sv[0] ** 2 * (1 + 1e-10)
+    assert got[1] == pytest.approx(np.linalg.norm(sv), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("j", [600, -600])
+@pytest.mark.parametrize("name", sorted(_gram_fit_cases()))
+def test_gram_errors_are_exact_under_power_of_two_scaling(name, j):
+    A, C, k = _gram_fit_cases()[name]
+    want = _gram_fit(A, C, k)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _gram_fit(np.ldexp(A, j), C, k)[0]
+    assert got == (np.ldexp(want[0], j), np.ldexp(want[1], j))
+
+
+def test_lambda_max_upper_certifies_known_spectra():
+    # diag(lam) rotated: the bound is at or above lam_max, and tight
+    g = rand(46)
+    for lam in ([5.0, 1.0, 0.5, 0.0], [1.0] * 6, [2.0, 2.0 - 1e-9] + [0.1] * 30):
+        n = len(lam)
+        V, _ = np.linalg.qr(g.normal(size=(n, n)))
+        G = (V * lam) @ V.T
+        G = (G + G.T) / 2
+        want = np.linalg.eigvalsh(G)[-1]
+        bar = _lambda_max_upper(G.copy(), 1e-15 * want)
+        assert want <= bar <= want * (1 + 1e-10)
+    # an all-zero matrix has no positive Ritz value to certify
+    assert _lambda_max_upper(np.zeros((5, 5)), 0.0) is None
 
 
 # ---------------------------------------------------------------------------
