@@ -365,6 +365,9 @@ def _run_coreset(args):
             "rows": rep["coreset_rows"],
             "distinct_rows": rep["distinct_rows"],
             "satisfied": _within(rep["ratio"], 1.0 + args.eps),
+            "kappa": rep["kappa"],
+            "steps": rep["steps"],
+            "note": rep["note"],
             "full_solve_seconds": rep["full_solve_seconds"],
             "coreset_solve_seconds": rep["coreset_solve_seconds"],
         })

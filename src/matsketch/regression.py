@@ -6,6 +6,13 @@ method, of randomized row mixtures) whose constrained LS solution is
 within (1+eps) of the full-data optimum. The constraint set is either
 unconstrained or the nonnegative orthant; the solver seam accepts just
 these two tags.
+
+The barrier coreset is certified per instance. Every A x - b lies in the
+span of an orthonormal basis U_Y of [A b], so a row sampling S whose
+distortion kappa = lambda_max / lambda_min of (S U_Y)^T (S U_Y) is at
+most 1 + eps gives a solution within kappa of the optimum under any
+constraint. The builder measures kappa on a short barrier walk and
+lengthens the walk only until it passes.
 """
 
 import math
@@ -17,14 +24,20 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError, ConvergenceError, NumericError, RankError
-from .linalg import (_pow2_exponent, _pow2_unscaled, _ratio,
+from .linalg import (SamplingPlan, _pow2_exponent, _pow2_unscaled, _ratio,
                      apply_plan_rows, as_matrix, as_vector, formula_width,
                      frobenius_norm, pow2_scaled, pseudo_inverse,
                      singular_values, svd)
-from .samplers import _barrier_core, _plan_from_weights, subspace_sampling
+from .samplers import (_barrier_core, _embedding_kappa, _ortho_deviation,
+                       _plan_from_weights, subspace_sampling)
 from .sketch import srht_rows
 
 _CONSTRAINTS = ("none", "nonnegative")
+# the barrier coreset's first walk is ceil(_FIRST_WALK rank([A b]) / eps^2)
+# steps, 1/25 of the formula's; a walk past _MAX_WALK_PER_ROW m steps is not
+# started, since all m rows at weight 1 (kappa = 1) answer at once
+_FIRST_WALK = 9.0
+_MAX_WALK_PER_ROW = 16
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,11 @@ class Coreset:
     selected rows of (A, b). For srht the plan indexes rows of the
     sign-flipped Hadamard transform of the zero-padded data, so C is a
     mixture of original rows rather than a subset.
+
+    A barrier coreset also carries its certificate: kappa, an upper end of
+    the distortion of the plan on span([A b]) (samplers._embedding_kappa;
+    1.0 for the all-rows answer, whose plan is noted "all-rows"), and
+    steps, the barrier steps walked in all. Other methods leave both None.
     """
 
     plan: object
@@ -66,6 +84,8 @@ class Coreset:
     method: str
     eps: float
     delta: float = field(default=float("nan"))
+    kappa: float | None = None
+    steps: int | None = None
 
 
 def coreset_size(method, n, eps, delta, m):
@@ -85,19 +105,29 @@ def coreset_size(method, n, eps, delta, m):
 def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
     """Build a coreset whose LS solution is (1+eps)-good on the full data.
 
-    barrier: deterministic, r = ceil(225(n+1)/eps^2), guarantee holds on
-    every run. subspace: leverage-score row sampling,
+    barrier: deterministic and certified on every run. With U_Y an
+    orthonormal basis of [A b] and d = rank([A b]), the single-set barrier
+    walk on U_Y is run for ceil(9 d/eps^2) steps and the distortion kappa
+    of its plan on span(U_Y) is measured (Coreset.kappa, with its rounding
+    margin). A plan with kappa <= 1 + eps is returned; otherwise the walk
+    is run again at twice the length, up to the formula's
+    r = ceil(225(n+1)/eps^2), where the barrier's sandwich
+    ((1 + eps/15)/(1 - eps/15))^2 < 1 + eps holds for every plan. A walk
+    longer than 16 m steps is not started: all m rows at weight 1 are
+    returned instead (kappa = 1, plan note "all-rows"). Coreset.steps is
+    the total walked. subspace: leverage-score row sampling,
     r = ceil(36(n+1) ln(2(n+1)/delta)/eps^2), holds w.p. >= 1-delta.
     srht: uniform sampling of Hadamard-mixed rows with
     r = ceil(72(n+1) ln(2(n+1)/delta) log2(40(n+1)m)/eps^2), holds w.p.
-    >= 0.95-delta. r_override replaces the formula count (the guarantee
-    then no longer applies; meant for desk-scale experiments).
+    >= 0.95-delta. r_override replaces the formula count: a barrier walk
+    of exactly that many steps, whose kappa is reported but not checked
+    (meant for desk-scale experiments).
     """
     if not isinstance(p, RegressionProblem):
         raise ArgumentError("build_coreset expects a RegressionProblem")
     if not (0.0 < eps < 1.0):
         raise ArgumentError(f"need 0 < eps < 1, got {eps}")
-    if eps > 1.0 / 3.0:
+    if method in ("subspace", "srht") and eps > 1.0 / 3.0:
         warnings.warn(
             f"eps={eps} is outside the proved range (0, 1/3]; the (1+eps) "
             "guarantee is not certified out here", stacklevel=2)
@@ -112,22 +142,17 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         raise ArgumentError(
             f"coreset larger than data: r={r} > m={m} "
             "(shrink eps/delta or pass r_override)")
+    kappa = steps = None
     if method == "srht":
         C, b_c, plan = srht_rows(p.A, p.b, r,
                                  seed=rng.derive_seed(seed, rng.CORESET, 1))
     else:
         U_Y = svd(np.column_stack([p.A, p.b])).U  # m x rank(Y), rank <= n+1
         if method == "barrier":
-            if r > m:
-                # the weighting loop runs fine past m steps and still emits at
-                # most m distinct rows, so oversized formula counts only cost time
-                warnings.warn(
-                    f"formula coreset size r={r} exceeds m={m}; continuing "
-                    "(at most m distinct weighted rows come out)", stacklevel=2)
             if r <= U_Y.shape[1]:
                 raise ArgumentError(
                     f"coreset size r={r} must exceed rank(Y)={U_Y.shape[1]}")
-            plan = _plan_from_weights(_barrier_core(U_Y, r, U_Y))
+            plan, kappa, steps = _barrier_plan(U_Y, eps, r, r_override is None)
         elif method == "subspace":
             plan = subspace_sampling(U_Y, 1.0, r,
                                      seed=rng.derive_seed(seed, rng.CORESET, 0))
@@ -137,7 +162,43 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         C = apply_plan_rows(p.A, plan)
         b_c = plan.weights * p.b[plan.indices]
     return Coreset(plan=plan, C=C, b_c=b_c, method=method, eps=float(eps),
-                   delta=float("nan") if method == "barrier" else float(delta))
+                   delta=float("nan") if method == "barrier" else float(delta),
+                   kappa=kappa, steps=steps)
+
+
+def _barrier_plan(U_Y, eps, r, adaptive):
+    """(plan, kappa, steps) of the barrier coreset on the m x d basis U_Y.
+
+    adaptive: walks of ceil(_FIRST_WALK d/eps^2), twice that, ... steps, up
+    to the formula's r, until kappa <= 1 + eps; the all-rows answer where
+    the next walk would pass _MAX_WALK_PER_ROW m steps. Otherwise one walk
+    of exactly r steps, kappa measured but not checked.
+    """
+    m, d = U_Y.shape
+    dev = _ortho_deviation(U_Y)
+    walk = min(formula_width(_FIRST_WALK * d, eps), r) if adaptive else r
+    steps, warned = 0, False
+    while True:
+        if adaptive and walk > _MAX_WALK_PER_ROW * m:
+            return SamplingPlan(m, np.arange(m), 1.0, note="all-rows"), 1.0, steps
+        if walk > m and not warned:
+            # the walk runs fine past m steps and still emits at most m
+            # distinct rows, so a long walk only costs time
+            warnings.warn(
+                f"barrier walk of {walk} steps exceeds m={m}; continuing "
+                "(at most m distinct weighted rows come out)", stacklevel=3)
+            warned = True
+        plan = _plan_from_weights(_barrier_core(U_Y, walk, U_Y))
+        steps += walk
+        kappa = _embedding_kappa(U_Y, plan, dev)
+        if not adaptive or kappa <= 1.0 + eps:
+            return plan, kappa, steps
+        if walk == r:
+            raise NumericError(
+                f"internal: the formula-size barrier walk (r={r}, rank {d}) "
+                f"has kappa={kappa!r} > 1+eps={1.0 + eps!r}, against the "
+                "barrier's sandwich bound")
+        walk = min(2 * walk, r)
 
 
 def _nnls(C, b):
@@ -197,7 +258,9 @@ def evaluate_coreset(p, c):
     residuals measured on the full data and divided by 2^e (e from
     max |[A | b]|) before squaring, so 2^j (A, b) give the same ratio. A
     zero full residual (linalg._ratio) with a zero coreset residual
-    reports 1.0; with a nonzero one, +inf (ratio_finite=False).
+    reports 1.0; with a nonzero one, +inf (ratio_finite=False). kappa,
+    steps and note are the coreset's certificate, its barrier steps and
+    its plan's note ("all-rows" for the barrier's all-rows answer).
     """
     t0 = time.perf_counter()
     x_full = solve_ls(p.A, p.b, p.constraint)
@@ -225,6 +288,9 @@ def evaluate_coreset(p, c):
         "method": c.method,
         "eps": c.eps,
         "delta": c.delta,
+        "kappa": c.kappa,
+        "steps": c.steps,
+        "note": c.plan.note,
         "full_solve_seconds": t_full,
         "coreset_solve_seconds": t_core,
     }

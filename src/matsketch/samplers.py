@@ -15,7 +15,8 @@ import scipy.linalg
 
 from . import rng
 from .errors import ArgumentError, InfeasibleStepError, NumericError, RankError
-from .linalg import SamplingPlan, as_matrix, pow2_scaled, rank_cutoff, svd
+from .linalg import (_U, SamplingPlan, _gamma, _svd, as_matrix, pow2_scaled,
+                     rank_cutoff, svd)
 
 _ORTHO_TOL = 1e-10
 _SCAN_BLOCK = 64  # rows in the first barrier scan block
@@ -334,6 +335,55 @@ def _barrier_core(V, r, upper):
 def _plan_from_weights(s):
     nz = np.flatnonzero(s > 0)
     return SamplingPlan(len(s), nz, np.sqrt(s[nz]))
+
+
+def _embedding_kappa(V, plan, dev):
+    """kappa_bar >= the distortion of the plan's row sampling S on span(V),
+
+        max ||S y||^2 / ||y||^2  over  min ||S y||^2 / ||y||^2,  y in span(V),
+
+    for an m x d V of full column rank and dev = _ortho_deviation(V); inf
+    when nothing finite is certified. For an exactly orthonormal V this is
+    kappa = lambda_max / lambda_min of (S V)^T (S V), and the return is
+    kappa (1 + tau), tau the rounding margin below.
+
+    X = S V holds the p picked rows of V times the plan's weights (the S
+    the coreset applies), each entry rounded once: X + dX with
+    |dX| <= u |X|. LAPACK's dgesdd is normwise backward stable: the
+    computed singular values are exact for X + dX + E with
+    ||E||_F <= gamma~_{pd} ||X||_F (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm. 19.4 for the Householder bidiagonalization;
+    the bidiagonal stage adds a relative error of the same order), and
+    gamma_{16pd+1} ||X||_F, with ||X||_F read from the computed values,
+    bounds both perturbations with room for the constant and the
+    second-order terms. By Weyl, sigma_1(X) <= sigma_1 + psi and
+    sigma_d(X) >= sigma_d - psi for the computed sigma and that psi.
+    For y = V z, ||S y||^2 = ||X z||^2 lies in [sigma_d(X)^2, sigma_1(X)^2]
+    times ||z||^2 and ||y||^2 = z^T V^T V z in [1 - delta, 1 + delta]
+    times ||z||^2, where delta >= ||V^T V - I||_2: the computed Gram entry
+    is off by at most gamma_m (1 + dev), and ||M||_2 <= d max |M_ij|, so
+    delta = d (dev + gamma_m (1 + dev)). Hence
+
+        kappa_bar = ((sigma_1 + psi) / (sigma_d - psi))^2
+                    (1 + delta) / (1 - delta),
+
+    times (1 + 8u) for the rounding of the expression. It bounds the
+    distortion on span(V) itself; how far A x - b strays from span(V)
+    through the rounding of the factorization of [A b] is not covered, as
+    it is not by the formula-size guarantee either.
+    """
+    X = plan.weights[:, None] * V[plan.indices]
+    p, d = X.shape
+    if p < d:
+        return math.inf
+    sv = _svd(X, False)[1]  # their ratio does not depend on _svd's 2^e
+    psi = _gamma(16 * p * d + 1) * math.sqrt(float(sv @ sv))
+    delta = d * (dev + _gamma(V.shape[0]) * (1.0 + dev))
+    lo = float(sv[-1]) - psi
+    if not (lo > 0 and delta < 1):
+        return math.inf
+    return (((float(sv[0]) + psi) / lo) ** 2 * (1.0 + delta) / (1.0 - delta)
+            * (1.0 + 8.0 * _U))
 
 
 def barrier_dual_spectral(V, U, r):

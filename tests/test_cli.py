@@ -68,6 +68,35 @@ def test_coreset_barrier_example(capsys):
     assert 4 <= trial["distinct_rows"] <= trial["rows"] <= 3600
     assert trial["ratio"] <= 1.5 + 1e-9
     assert trial["satisfied"] is True
+    # the certificate: a walk far shorter than the formula's 3600 steps
+    assert trial["ratio"] <= trial["kappa"] <= 1.5
+    assert 144 <= trial["steps"] < 3600 and trial["note"] == ""
+
+
+def test_coreset_barrier_bounded_work(capsys, monkeypatch):
+    # eps = 0.01 puts even the first walk (360000 steps) past 16 m = 640 on
+    # this 40-row input: all rows answer, and no walk starts
+    from matsketch import regression
+
+    def no_walk(*args):
+        raise AssertionError("a barrier walk was started")
+
+    monkeypatch.setattr(regression, "_barrier_core", no_walk)
+    code, rep = run_cli(capsys, "coreset", "--method", "barrier",
+                        "--eps", "0.01", *_CORESET_INPUT)
+    assert code == 0
+    trial = rep["results"]["per_trial"][0]
+    assert (trial["kappa"], trial["steps"], trial["note"]) == (1.0, 0, "all-rows")
+    assert trial["rows"] == trial["distinct_rows"] == 40
+    assert trial["ratio"] == 1.0
+
+
+@pytest.mark.parametrize("method", ["subspace", "srht"])
+def test_randomized_coreset_trials_report_no_certificate(capsys, method):
+    _, rep = run_cli(capsys, "coreset", "--method", method, "--eps", "0.5",
+                     "-r", "30", "--trials", "2", *_CORESET_INPUT)
+    for t in rep["results"]["per_trial"]:
+        assert (t["kappa"], t["steps"]) == (None, None)
 
 
 def test_lowerbound_example(capsys):

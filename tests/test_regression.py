@@ -7,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from matsketch import (ArgumentError, ConvergenceError, RankError, RegressionProblem,
-                       apply_plan_rows, build_coreset, coreset_size,
-                       evaluate_coreset, solve_ls, svd)
+from matsketch import (ArgumentError, ConvergenceError, NumericError, RankError,
+                       RegressionProblem, apply_plan_rows, build_coreset,
+                       coreset_size, evaluate_coreset, regression, solve_ls, svd)
+from matsketch.samplers import _barrier_core, _plan_from_weights
 
 from conftest import rand
 
@@ -90,7 +93,8 @@ def test_barrier_sandwich_inequalities():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = _problem(800, 3, 3)
-        c = build_coreset(p, 0.5, method="barrier")
+        c = build_coreset(p, 0.5, method="barrier",
+                          r_override=coreset_size("barrier", 3, 0.5, 0.1, 800))
     Y = np.hstack([p.A, p.b.reshape(-1, 1)])
     f = svd(Y)
     U = f.U
@@ -103,6 +107,21 @@ def test_barrier_sandwich_inequalities():
         sampled = np.linalg.norm(apply_plan_rows(U, c.plan) @ y) ** 2
         assert lo ** 2 * full <= sampled * (1 + 1e-9)
         assert sampled <= hi ** 2 * full * (1 + 1e-9)
+
+
+def test_barrier_sandwich_per_instance():
+    # the default build's reported kappa bounds the spread of
+    # ||S y||^2 / ||y||^2 over span([A b]), extreme directions included
+    p = _problem(800, 3, 3)
+    c = build_coreset(p, 0.5, method="barrier")
+    assert c.kappa <= 1.5
+    assert c.steps < coreset_size("barrier", 3, 0.5, 0.1, 800)
+    U = svd(np.hstack([p.A, p.b.reshape(-1, 1)])).U
+    SU = apply_plan_rows(U, c.plan)
+    Z = np.hstack([np.linalg.svd(SU)[2].T, rand(4).normal(size=(4, 20))])
+    q = (np.linalg.norm(SU @ Z, axis=0) / np.linalg.norm(U @ Z, axis=0)) ** 2
+    assert q.max() <= c.kappa * q.min() * (1 + 1e-9)
+    assert q.max() / q.min() >= 1 + 1e-3  # the extremes are far from equal
 
 
 def test_exact_fit_gives_unit_ratio():
@@ -181,6 +200,124 @@ def test_barrier_coreset_warns_when_formula_exceeds_rows():
     with pytest.warns(UserWarning):
         c = build_coreset(p, 0.5, method="barrier")
     assert evaluate_coreset(p, c)["ratio"] >= 1 - 1e-10
+
+
+class _Walks:
+    """Stands in for regression._barrier_core: records each walk length
+    and runs the walk, refusing any longer than `limit` steps."""
+
+    def __init__(self, limit):
+        self.limit, self.lengths = limit, []
+
+    def __call__(self, V, r, upper):
+        assert r <= self.limit, f"a walk of {r} steps was started"
+        self.lengths.append(r)
+        return _barrier_core(V, r, upper)
+
+
+def _kappa_fails_below(walks, r):
+    """A kappa that fails every check until the walk reaches length r."""
+    real = regression._embedding_kappa
+    return lambda V, plan, dev: (
+        real(V, plan, dev) if walks.lengths[-1] >= r else math.inf)
+
+
+def test_barrier_coreset_schedule_and_all_rows_answer(monkeypatch):
+    # m = 100, d = 4, eps = 0.5: walks of 144, 288, 576 and 1152 steps; the
+    # next (2304) would pass 16 m = 1600, so all rows come back at weight 1
+    p = _problem(100, 3, 11)
+    walks = _Walks(1600)
+    monkeypatch.setattr(regression, "_barrier_core", walks)
+    monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: math.inf)
+    with pytest.warns(UserWarning, match="144 steps exceeds m=100"):
+        c = build_coreset(p, 0.5, method="barrier")
+    assert walks.lengths == [144, 288, 576, 1152]
+    assert (c.kappa, c.steps, c.plan.note) == (1.0, 2160, "all-rows")
+    assert c.plan.indices.tolist() == list(range(100))
+    assert (c.plan.weights == 1.0).all()
+    rep = evaluate_coreset(p, c)
+    assert rep["ratio"] == pytest.approx(1.0, abs=1e-12)
+    assert (rep["kappa"], rep["steps"], rep["note"]) == (1.0, 2160, "all-rows")
+
+
+@pytest.mark.filterwarnings("ignore:barrier walk")
+def test_barrier_coreset_formula_walk_failing_its_check_is_internal(monkeypatch):
+    p = _problem(400, 1, 12)
+    monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: 2.0)
+    with pytest.raises(NumericError, match="internal: the formula-size"):
+        build_coreset(p, 0.5, method="barrier")
+
+
+def test_r_override_walks_exactly_and_reports_kappa(monkeypatch):
+    p = _problem(300, 2, 13)
+    walks = _Walks(40)
+    monkeypatch.setattr(regression, "_barrier_core", walks)
+    monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: 1e6)
+    c = build_coreset(p, 0.1, method="barrier", r_override=40)
+    assert walks.lengths == [40]
+    assert (c.kappa, c.steps, c.plan.note) == (1e6, 40, "")
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _tall_problems(draw):
+    m, n = draw(st.integers(50, 400)), draw(st.integers(1, 5))
+    constraint = draw(st.sampled_from(["none", "nonnegative"]))
+    g = rand(draw(st.integers(0, 2**32 - 1)))
+    A = g.normal(size=(m, n))
+    noise = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    b = A @ g.normal(size=n) + noise * g.normal(size=m)
+    return RegressionProblem(A, b, constraint)
+
+
+@_PROPERTY
+@given(p=_tall_problems(), walk=st.integers(7, 600))
+def test_ratio_never_exceeds_kappa(p, walk):
+    # kappa bounds the objective ratio of any walk, however short
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c = build_coreset(p, 0.5, method="barrier", r_override=walk)
+    assert c.steps == walk
+    assert evaluate_coreset(p, c)["ratio"] <= c.kappa * (1 + 1e-9)
+
+
+@_PROPERTY
+@given(p=_tall_problems(), eps=st.sampled_from([0.2, 0.5, 0.9]))
+def test_default_barrier_coreset_is_certified(p, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c = build_coreset(p, eps, method="barrier")
+    assert c.kappa <= 1 + eps
+    assert (c.plan.note == "all-rows") == (c.kappa == 1.0 and len(c.plan) == p.A.shape[0])
+    assert evaluate_coreset(p, c)["ratio"] <= 1 + eps + 1e-9
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(p=_tall_problems(), eps=st.sampled_from([0.6, 0.9]))
+def test_failed_checks_end_in_the_formula_plan(p, eps):
+    # with kappa failing on every shorter walk, the build ends in the
+    # formula-size plan (or, past 16 m steps, in all rows)
+    m, n = p.A.shape
+    U = svd(np.column_stack([p.A, p.b])).U
+    r = coreset_size("barrier", n, eps, 0.1, m)
+    walks = _Walks(16 * m)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(regression, "_barrier_core", walks)
+        mp.setattr(regression, "_embedding_kappa", _kappa_fails_below(walks, r))
+        c = build_coreset(p, eps, method="barrier")
+    assert c.steps == sum(walks.lengths)
+    if r > 16 * m:
+        assert c.plan.note == "all-rows"
+        return
+    assert walks.lengths[-1] == r
+    want = _plan_from_weights(_barrier_core(U, r, U))
+    assert np.array_equal(c.plan.indices, want.indices)
+    assert np.array_equal(c.plan.weights, want.weights)
 
 
 def test_eps_validation():
