@@ -26,7 +26,7 @@ from .kmeans import kmeans_cost, lloyd, reduce_features
 from .linalg import (_baseline, _gram_projected_norm, _pow2_exponent,
                      _pow2_unscaled, _ratio, _residual, _top_k, _within,
                      as_matrix, frobenius_norm, pow2_scaled, singular_values,
-                     spectral_norm, top_k)
+                     spectral_norm)
 from .mmio import load_matrix
 from .oracles import all_subset_errors
 from .regression import (RegressionProblem, build_coreset, coreset_size,
@@ -294,11 +294,14 @@ def _run_cssp(args):
 
 def _run_id(args):
     A, source, _ = _load_input(args)
+    A = as_matrix(A)
     C, X, plan = interpolative_decomposition(A, args.k, seed=args.seed)
     k, n = args.k, A.shape[1]
     sel = plan.indices
-    baseline = _baseline(top_k(A, k), "spectral")
     err = spectral_norm(A - C @ X)
+    S, e = pow2_scaled(A)
+    Z, E, s, G = _top_k(S, k)
+    baseline = _pow2_unscaled(_baseline((Z, E, s), "spectral", G), e)
     bound = 4.0 * math.sqrt(4.0 * k * (n - k) + 1.0) * baseline
     xs = np.linalg.svd(X, compute_uv=False)
     return {
@@ -317,7 +320,7 @@ def _run_id(args):
             "bound_value": bound,
             "bound_formula": "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}",
             "baseline": baseline,
-            "ratio": _ratio(err, baseline, _pow2_exponent(A)),
+            "ratio": _ratio(err, baseline, e),
         },
     }
 
@@ -421,38 +424,37 @@ def _run_kmeans(args):
 
 def _run_sketch_svd(args):
     A, source, _ = _load_input(args)
-    A = as_matrix(A)
-    ex = _pow2_exponent(A)
+    S, e = pow2_scaled(as_matrix(A))  # errors are scaled back for the report
     k, frob = args.k, args.mode == "frobenius"
-    Z, E, s, gram = _top_k(A, k)
-    base = _baseline((Z, E, s), args.mode, gram)
+    Z, E, s, G = _top_k(S, k)
+    base = _baseline((Z, E, s), args.mode, G)
     del E
     fn, norm, key = ((fast_frobenius_svd, frobenius_norm, "sq_ratio") if frob
                      else (fast_spectral_svd, spectral_norm, "ratio"))
     trials = max(1, args.trials)
     per = []
     for sd in _trial_seeds(args.seed, trials):
-        basis = fn(A, k, args.eps, seed=sd)
-        # the spectral error from A's one Gram matrix; the residual only
+        basis = fn(S, k, args.eps, seed=sd)
+        # the spectral error from S's one Gram matrix; the residual only
         # where that certifies no bound
-        err = (None if frob or gram is None
-               else _gram_projected_norm(gram, A.shape[0], basis.Z))
+        err = (None if frob or G is None
+               else _gram_projected_norm(G, S.shape[0], basis.Z))
         if err is None:
-            err = norm(_residual(A, basis.Z))
-        per.append({"algorithm_seed": sd, "error": err,
-                    key: _ratio(err, base, ex, 2 if frob else 1)})
-    mean_stat = _finite_mean([e[key] for e in per])
+            err = norm(_residual(S, basis.Z))
+        per.append({"algorithm_seed": sd, "error": _pow2_unscaled(err, e),
+                    key: _ratio(err, base, 0, 2 if frob else 1)})
+    mean_stat = _finite_mean([t[key] for t in per])
     bound_factor, formula = (
         (1.0 + args.eps, "E: (1+eps)*||A-A_k||_F^2") if frob
         else (math.sqrt(2.0) + args.eps, "E: (sqrt(2)+eps)*sigma_{k+1}"))
     return {
         "algorithm": fn.__name__,
-        "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
+        "input": {"rows": S.shape[0], "cols": S.shape[1], "source": source,
                   "seed": args.seed},
         "params": {"k": k, "eps": args.eps, "mode": args.mode,
                    "trials": trials},
         "results": {
-            "baseline": base,
+            "baseline": _pow2_unscaled(base, e),
             "bound_value": bound_factor,
             "bound_formula": formula,
             "power_iterations": basis.power,

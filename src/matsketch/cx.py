@@ -20,19 +20,19 @@ m >= n and the Gram eigenvalues of E show rank(A) = n, its upper set is a
 basis of the complement of Z and its baseline ||E||_2 (_full_rank_split).
 Only when rank(A) = n cannot be established (rank < n, wide A, zero or
 duplicate columns, rank exactly k) does it factor A in full, for V[:, k:]
-and rank(A). Both errors, and a spectral baseline read in _certify, come
-from the one Gram matrix G of A / 2^e that top_k builds, not from an
-m x n residual: R^T R = A^T A - B_k^T B_k for B_k = (Q^T A)_k, so each
-plan costs a rank-k update of G. The spectral error is the square root
-of a certified upper end of lambda_max (Lanczos, then a Cholesky
-factorization that proves the bound; linalg._lambda_max_upper), at most
-1e-10 relative above the SVD value of the formed residual; on the
-1000 x 600 benchmark input about 1e-11 above it. A wide A, cancellation (input of
-rank <= k) or a failed ARPACK or Cholesky call falls back to forming R
-and taking its top Gram eigenvalue alone (LAPACK dsyevr). Errors and
-baselines are taken after exact power-of-two rescales, so they neither
-overflow nor underflow at any finite scale of A, and 2^j A gives 2^j
-times the numbers of A.
+and rank(A). Every bound is homogeneous in A, so each entry divides A
+once by 2^e (pow2_scaled), and selection and certification see only
+S = A / 2^e; _certify alone scales numbers back, so nothing overflows or
+underflows and 2^j A gives 2^j times the numbers of A. Both errors, and a
+spectral baseline read in _certify, come from the one Gram matrix
+G = S^T S that _top_k builds, not from an m x n residual:
+R^T R = S^T S - B_k^T B_k for B_k = (Q^T S)_k, so each plan costs a
+rank-k update of G. The spectral error is the square root of a certified
+upper end of lambda_max (Lanczos, then a Cholesky factorization that
+proves the bound; linalg._lambda_max_upper), at most 1e-10 relative
+above the SVD value of the formed residual. A wide A, cancellation
+(input of rank <= k) or a failed ARPACK or Cholesky call falls back to
+forming R and taking its top Gram eigenvalue alone (LAPACK dsyevr).
 """
 
 import math
@@ -44,11 +44,11 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .errors import ArgumentError
-from .linalg import (SamplingPlan, _baseline, _gram, _gram_eigenvalues,
+from .linalg import (SamplingPlan, _baseline, _gram_eigenvalues,
                      _gram_residual_norms, _norms, _plan_columns,
-                     _pow2_exponent, _pow2_unscaled, _residual, _sqrt_unscaled,
-                     _subspace_factors, _top_k, apply_plan_rows, as_matrix,
-                     rank_cutoff, svd)
+                     _pow2_unscaled, _rank_svd, _residual, _subspace_factors,
+                     _top_k, apply_plan_rows, as_matrix, pow2_scaled,
+                     rank_cutoff)
 from .samplers import (adaptive_sampling, barrier_dual_frobenius,
                        barrier_dual_spectral, barrier_single, rrqr_select,
                        subspace_sampling)
@@ -66,39 +66,40 @@ class CxResult:
     bound_formula: str
 
 
-def _certify(A, k, plan, norm, const, formula, baseline=None, gram=None):
+def _certify(A, S, e, k, plan, norm, const, formula, baseline=None, G=None):
     """Measure the plan's rank-k errors and certify const * baseline, the
-    baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from top_k(A, k)
+    baseline (sigma_{k+1} or ||A - A_k||_F, by norm) read from _top_k(S, k)
     and its Gram matrix (linalg._baseline) when the caller holds none.
 
-    A is trusted: the public entry validated it. Both errors come from
-    gram = (G, e), the Gram matrix of A / 2^e (top_k's, or linalg._gram
-    where the caller passes none), which this call overwrites:
-    linalg._gram_residual_norms updates it by the rank-k fit and certifies
-    an upper end of the spectral error. Where it does not (A wider than
-    tall, a certificate margin above 1e-10 relative, as on input of
-    rank <= k, or an ARPACK or Cholesky failure), R = A - Q (Q^T A)_k is
-    formed in the buffer of the product and one rescaled copy of R gives
-    both norms."""
+    The entry validated A and rescaled it to S = A / 2^e; a given baseline
+    is in S's units, as is the fit, and the numbers are scaled back here.
+    Both errors come from G = S^T S (the caller's, _top_k's, or formed
+    here), which this call overwrites: linalg._gram_residual_norms updates
+    it by the rank-k fit and certifies an upper end of the spectral error.
+    Where it does not (A wider than tall, a certificate margin above 1e-10
+    relative, as on input of rank <= k, or an ARPACK or Cholesky failure),
+    R = S - Q (Q^T S)_k is formed in the buffer of the product and one
+    rescaled copy of R gives both norms."""
     if baseline is None:
-        Z, E, s, gram = _top_k(A, k)
-        baseline = _baseline((Z, E, s), norm, gram)
+        Z, E, s, G = _top_k(S, k)
+        baseline = _baseline((Z, E, s), norm, G)
         del E
-    elif gram is None:
-        gram = _gram(A)
-    C = _plan_columns(A, plan)
-    Q, W, Vt, s = _subspace_factors(A, C, k)
+    elif G is None and S.shape[0] >= S.shape[1]:
+        G = S.T @ S
+    Q, W, Vt, s = _subspace_factors(S, _plan_columns(S, plan), k)
     errors = None
-    if gram is not None and s.size:
-        errors = _gram_residual_norms(gram, A.shape[0], s, Vt)
+    if G is not None and s.size:
+        errors = _gram_residual_norms(G, S.shape[0], s, Vt)
     if errors is None:
         R = Q @ W @ Vt
-        errors = _norms(np.subtract(A, R, out=R))
-    spectral, frobenius = errors
-    return CxResult(plan=plan, C=C, rank_k_error_spectral=spectral,
+        errors = _norms(np.subtract(S, R, out=R))
+    spectral, frobenius, baseline = (_pow2_unscaled(x, e)
+                                     for x in (*errors, baseline))
+    return CxResult(plan=plan, C=_plan_columns(A, plan),
+                    rank_k_error_spectral=spectral,
                     rank_k_error_frobenius=frobenius,
                     bound_value=float(const * baseline),
-                    baseline_sigma=float(baseline), norm=norm,
+                    baseline_sigma=baseline, norm=norm,
                     bound_formula=formula)
 
 
@@ -108,32 +109,32 @@ def _certify(A, k, plan, norm, const, formula, baseline=None, gram=None):
 _FULL_RANK_RATIO = 1e-3
 
 
-def _full_rank_split(A, k):
-    """(Z, U, sigma, gram) with Z top_k's n x k subspace, U an orthonormal
-    basis of its complement, sigma = ||A - A Z Z^T||_2, the baseline
-    linalg._baseline reads, and top_k's Gram matrix for _certify; None
-    unless m >= n and rank(A) = n is established.
+def _full_rank_split(S, k):
+    """(Z, U, sigma, G) with Z _top_k's n x k subspace of S = A / 2^e, U an
+    orthonormal basis of its complement, sigma = ||S - S Z Z^T||_2, the
+    baseline linalg._baseline reads, in S's units, and _top_k's Gram matrix
+    for _certify; None unless m >= n and rank(A) = n is established.
 
     The rank test reads the Ritz values and every eigenvalue of the Gram
-    matrix of E = A - A Z Z^T, which is zero on Z and, off Z, A^T A
+    matrix of E = S - S Z Z^T, which is zero on Z and, off Z, S^T S
     compressed to Z's complement: rank(A) = n needs s_k above rank_cutoff
     and its (k+1)-th smallest eigenvalue above _FULL_RANK_RATIO^2 s_1^2.
-    Then U U^T = I - Z Z^T, and the dual-set walk reads U only through that
-    product, so any basis of the complement gives V[:, k:]'s guarantee."""
-    m, n = A.shape
+    E needs no rescale of its own: wherever the test can pass, ||E||_2 is
+    above 1e-3 s_1 >= 1e-3 max |S| >= 5e-4. Then U U^T = I - Z Z^T, and
+    the dual-set walk reads U only through that product, so any basis of
+    the complement gives V[:, k:]'s guarantee."""
+    m, n = S.shape
     if m < n:
         return None
-    Z, E, s, gram = _top_k(A, k)
-    if not s[k - 1] > rank_cutoff(s, A.shape):
+    Z, E, s, G = _top_k(S, k)
+    if not s[k - 1] > rank_cutoff(s, S.shape):
         return None
-    e = _pow2_exponent(E)
-    lam = _gram_eigenvalues(np.ldexp(E, -e, out=E))  # pow2_scaled, in place
+    lam = _gram_eigenvalues(E)
     del E
-    floor = _FULL_RANK_RATIO * _pow2_unscaled(s[0], -e)  # inf past the range
-    if not math.sqrt(max(lam[k], 0.0)) > floor:
+    if not math.sqrt(max(lam[k], 0.0)) > _FULL_RANK_RATIO * s[0]:
         return None
     U = np.linalg.qr(Z, mode="complete")[0][:, k:]
-    return Z, U, _sqrt_unscaled(lam[-1], e), gram
+    return Z, U, math.sqrt(max(lam[-1], 0.0)), G
 
 
 def _check_kr(A, k, r, min_k):
@@ -159,16 +160,17 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
     leading constant sqrt(2)+1.
     """
     A = as_matrix(A)
+    S, e = pow2_scaled(A)
     n = A.shape[1]
     if mode == "deterministic":
         shrink = _check_kr(A, k, r, 1)
-        split = _full_rank_split(A, k)
-        gram = None
+        split = _full_rank_split(S, k)
+        G = None
         if split is not None:
-            Z, U, sigma, gram = split
+            Z, U, sigma, G = split
             rho = n
         else:
-            f = svd(A)
+            f = _rank_svd(S)
             rho = f.rank
             if k > rho:
                 raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
@@ -182,15 +184,15 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
             plan = barrier_single(Z, r)
             const = 1.0 + 1.0 / shrink
         formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
-        return _certify(A, k, plan, "spectral", math.sqrt(2.0) * const,
-                        formula, sigma, gram)
+        return _certify(A, S, e, k, plan, "spectral", math.sqrt(2.0) * const,
+                        formula, sigma, G)
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
-        basis = fast_spectral_svd(A, k, 1, seed=seed)
+        basis = fast_spectral_svd(S, k, 1, seed=seed)
         plan = barrier_dual_spectral(basis.Z, np.eye(n), r)
         const = (math.sqrt(2.0) + 1.0) * (1.0 + (1.0 + math.sqrt(n / r)) / shrink)
         formula = "E: (sqrt(2)+1)*(1+(1+sqrt(n/r))/(1-sqrt(k/r)))*sigma_{k+1}"
-        return _certify(A, k, plan, "spectral", const, formula)
+        return _certify(A, S, e, k, plan, "spectral", const, formula)
     raise ArgumentError(f"unknown mode {mode!r} (expected deterministic|fast)")
 
 
@@ -205,24 +207,25 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
     residual columns; E err^2 <= (1 + 6k/(r-4k)) * ||A - A_k||_F^2.
     """
     A = as_matrix(A)
+    S, e = pow2_scaled(A)
     if mode == "deterministic":
         shrink = _check_kr(A, k, r, 1)
-        Z, E, s, gram = _top_k(A, k)
+        Z, E, s, G = _top_k(S, k)
         rho = int(np.sum(s > rank_cutoff(s, A.shape)))
         if k > rho:
             raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
         plan = barrier_dual_frobenius(Z, E, r)
         baseline = _baseline((Z, E, s), "frobenius")
         del E
-        return _certify(A, k, plan, "frobenius",
+        return _certify(A, S, e, k, plan, "frobenius",
                         math.sqrt(1.0 + 1.0 / shrink ** 2),
                         "sqrt(1+1/(1-sqrt(k/r))^2)*||A-A_k||_F",
-                        baseline, gram)
+                        baseline, G)
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
-        Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
-        plan = barrier_dual_frobenius(Z, _residual(A, Z), r)
-        return _certify(A, k, plan, "frobenius",
+        Z = fast_frobenius_svd(S, k, 0.1, seed=seed).Z
+        plan = barrier_dual_frobenius(Z, _residual(S, Z), r)
+        return _certify(A, S, e, k, plan, "frobenius",
                         math.sqrt(1.1 * (1.0 + 1.0 / shrink ** 2)),
                         "E: sqrt(1.1+1.1/(1-sqrt(k/r))^2)*||A-A_k||_F")
     if mode == "relative":
@@ -236,15 +239,15 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
                 f"relative-error guarantee is proved for r > 10k; r={r} <= {10 * k} "
                 "keeps the expectation bound but thins the safety margin",
                 stacklevel=2)
-        Z = fast_frobenius_svd(A, k, 0.1, seed=seed).Z
-        plan1 = barrier_dual_frobenius(Z, _residual(A, Z), 4 * k)
-        C1 = _plan_columns(A, plan1)
-        plan2 = adaptive_sampling(A, C1, r - 4 * k,
+        Z = fast_frobenius_svd(S, k, 0.1, seed=seed).Z
+        plan1 = barrier_dual_frobenius(Z, _residual(S, Z), 4 * k)
+        C1 = _plan_columns(S, plan1)
+        plan2 = adaptive_sampling(S, C1, r - 4 * k,
                                   seed=rng.derive_seed(seed, rng.ADAPTIVE, 0))
         plan = SamplingPlan(n, np.concatenate([plan1.indices, plan2.indices]),
                             np.concatenate([plan1.weights, plan2.weights]),
                             with_replacement=True, note="barrier+adaptive")
-        return _certify(A, k, plan, "frobenius",
+        return _certify(A, S, e, k, plan, "frobenius",
                         math.sqrt(1.0 + 6.0 * k / (r - 4 * k)),
                         "E^2: (1+6k/(r-4k))*||A-A_k||_F^2")
     raise ArgumentError(
@@ -264,6 +267,7 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
     within 26k sqrt(ln(2k/delta))/delta of ||A - A_k||_F.
     """
     A = as_matrix(A)
+    S, e = pow2_scaled(A)
     n = A.shape[1]
     min_k = 1 if mode == "two_stage" else 2
     if not (min_k <= k <= min(A.shape)):
@@ -271,26 +275,27 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
     if k >= n:
         raise ArgumentError(f"need k < n to have columns to reject, got k={k}, n={n}")
     if mode == "spectral":
-        Z = fast_spectral_svd(A, k, 0.5, seed=seed).Z
-        return _certify(A, k, rrqr_select(Z), "spectral",
+        Z = fast_spectral_svd(S, k, 0.5, seed=seed).Z
+        return _certify(A, S, e, k, rrqr_select(Z), "spectral",
                         4.0 * math.sqrt(4.0 * k * (n - k) + 1.0),
                         "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}")
     if mode == "frobenius":
-        Z = fast_frobenius_svd(A, k, 0.5, seed=seed).Z
-        plan1 = barrier_dual_frobenius(Z, _residual(A, Z), 4 * k)
+        Z = fast_frobenius_svd(S, k, 0.5, seed=seed).Z
+        plan1 = barrier_dual_frobenius(Z, _residual(S, Z), 4 * k)
         inner = rrqr_select(apply_plan_rows(Z, plan1))
         sel = SamplingPlan(n, plan1.indices[inner.indices], 1.0)
-        return _certify(A, k, sel, "frobenius", 9.0 * k, "E: 9k*||A-A_k||_F")
+        return _certify(A, S, e, k, sel, "frobenius", 9.0 * k,
+                        "E: 9k*||A-A_k||_F")
     if mode == "two_stage":
         if not (0.0 < delta < 1.0):
             raise ArgumentError(f"need 0 < delta < 1, got {delta}")
-        gram = None
+        G = None
         if k == 1:
-            Z, E, s, gram = _top_k(A, 1)
+            Z, E, s, G = _top_k(S, 1)
             baseline = _baseline((Z, E, s), "frobenius")
             del E
         else:
-            Z, baseline = fast_frobenius_svd(A, k, 0.5, seed=seed).Z, None
+            Z, baseline = fast_frobenius_svd(S, k, 0.5, seed=seed).Z, None
         r1 = math.ceil(8.0 * k * math.log(2.0 * k / delta))
         plan1 = subspace_sampling(Z, 1.0, max(r1, k),
                                   seed=rng.derive_seed(seed, rng.CSSP, 0))
@@ -301,10 +306,10 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
         inner = rrqr_select(rows)
         sel = SamplingPlan(n, np.sort(plan1.indices[inner.indices]), 1.0)
         return _certify(
-            A, k, sel, "frobenius",
+            A, S, e, k, sel, "frobenius",
             26.0 * k * math.sqrt(math.log(2.0 * k / delta)) / delta,
             "w.p. 1-3delta: 26k*sqrt(ln(2k/delta))/delta*||A-A_k||_F",
-            baseline, gram)
+            baseline, G)
     raise ArgumentError(
         f"unknown mode {mode!r} (expected spectral|frobenius|two_stage)")
 

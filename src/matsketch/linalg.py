@@ -42,9 +42,12 @@ def as_vector(b, name="b"):
 def formula_width(c, eps, power=2):
     """ceil(c / eps^power), the row or column count of a width formula.
 
-    A tiny eps makes eps^power underflow to 0 or the quotient overflow;
-    the width is then no finite count, and the error names eps.
+    eps must be positive. A tiny eps makes eps^power underflow to 0 or
+    the quotient overflow; the width is then no finite count, and the
+    error names eps.
     """
+    if not eps > 0:
+        raise ArgumentError(f"need eps > 0, got {eps}")
     den = eps ** power
     width = c / den if den > 0 else math.inf
     if not math.isfinite(width):
@@ -78,7 +81,8 @@ class SamplingPlan:
     Omega has standard-basis columns e_i at the int `indices`, in plan
     order; S has the matching positive, finite float `weights` on its
     diagonal. A scalar weight (1.0, or the SRHT scale) is given to every
-    pick. Both arrays are stored as read-only copies.
+    pick. Both arrays are stored as read-only copies; non-integer indices
+    or `source_dim` are refused, not cast.
     """
 
     source_dim: int
@@ -88,7 +92,13 @@ class SamplingPlan:
     note: str = ""
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=int).ravel()
+        idx = np.asarray(self.indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ArgumentError(f"pick indices must be integers, got {idx.dtype}")
+        if not isinstance(self.source_dim, (int, np.integer)):
+            raise ArgumentError(
+                f"source_dim must be an integer, got {self.source_dim!r}")
+        idx = idx.ravel()
         try:
             w = np.broadcast_to(np.asarray(self.weights, dtype=float), idx.shape)
         except ValueError:
@@ -110,7 +120,7 @@ class SamplingPlan:
                 raise ArgumentError(
                     f"duplicate index {idx[j]} in a without-replacement plan")
         w = w.copy()
-        for name, a in (("indices", idx), ("weights", w)):
+        for name, a in (("indices", idx.astype(int)), ("weights", w)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -169,21 +179,15 @@ def _pow2_exponent(*arrays):
 
 
 def pow2_scaled(M):
-    """(M * 2^-e, e), e = _pow2_exponent(M).
+    """(M * 2^-e, e), e = _pow2_exponent(M): M itself, not a copy, where
+    e = 0, so callers only read the result.
 
     The rescale is exact and puts max |M| in [1/2, 1), so sums of squares
     of the scaled entries neither overflow nor underflow.
     """
     M = np.asarray(M, dtype=float)
     e = _pow2_exponent(M)
-    return np.ldexp(M, -e), e
-
-
-def _pow2_view(A):
-    """pow2_scaled(A) for a validated A that is only read: A itself, not a
-    copy, where e = 0."""
-    e = _pow2_exponent(A)
-    return (np.ldexp(A, -e) if e else A), e
+    return (np.ldexp(M, -e) if e else M), e
 
 
 def _pow2_unscaled(x, e):
@@ -197,24 +201,27 @@ def top_k(A, k):
     subspace, the residual E = A - A Z Z^T and the k Ritz values s, largest
     first.
 
-    ARPACK's Lanczos runs on the explicit smaller Gram matrix of A / 2^e
-    (one product over A; each Lanczos step is then one min(m, n)-square
-    matvec) to tol=0, from a fixed start vector and with a fixed generator
-    for its restarts (scipy's svds draws those from OS entropy), so equal
-    input gives equal bits, and 2^j A gives the same Z and 2^j times E and
-    s. k = min(m, n) takes the dense SVD; an all-zero A gives the first k
-    columns of I_n and E = 0, s = 0. The scaled copy of A (none where e = 0)
-    and E (_residual) are the only m x n arrays built.
+    Runs _top_k on S = A / 2^e (pow2_scaled), so equal input gives equal
+    bits, and 2^j A gives the same Z and 2^j times E and s.
     """
-    return _top_k(as_matrix(A), k)[:3]
+    S, e = pow2_scaled(as_matrix(A))
+    Z, E, s, _ = _top_k(S, k)
+    return Z, np.ldexp(E, e, out=E), np.ldexp(s, e)
 
 
-def _top_k(A, k):
-    """top_k of a validated A as (Z, E, s, gram): gram is the (G, e) of
-    _gram when the Lanczos ran on A's n x n Gram matrix (m >= n), which the
-    spectral error of a rank-k fit of A is then measured from
-    (_gram_residual_norms), else None."""
-    S, e = _pow2_view(A)
+def _top_k(S, k):
+    """top_k of a validated S with max |S| in [1/2, 1) (or zero), as
+    (Z, E, s, G) in S's units: G = S^T S is the Gram matrix the Lanczos ran
+    on when m >= n, which the spectral error of a rank-k fit of S is then
+    measured from (_gram_residual_norms), else None.
+
+    ARPACK's Lanczos runs on the explicit smaller Gram matrix of S (one
+    product over S; each Lanczos step is then one min(m, n)-square matvec)
+    to tol=0, from a fixed start vector and with a fixed generator for its
+    restarts (scipy's svds draws those from OS entropy). k = min(m, n)
+    takes the dense SVD; an all-zero S gives the first k columns of I_n and
+    E = 0, s = 0. E (_residual) is the only m x n array built.
+    """
     m, n = S.shape
     if not 1 <= k <= min(m, n):
         raise ArgumentError(f"need 1 <= k <= min(m,n)={min(m, n)}, got k={k}")
@@ -243,19 +250,7 @@ def _top_k(A, k):
             Z = V @ Wt.T
         else:
             Z, s, _ = np.linalg.svd(S.T @ V, full_matrices=False)
-    E = _residual(S, Z)
-    return (Z, np.ldexp(E, e, out=E), np.ldexp(s, e),
-            None if G is None else (G, e))
-
-
-def _gram(A):
-    """(G, e): the Gram matrix G = S^T S of S = A / 2^e (pow2_scaled), the
-    one top_k runs its Lanczos on, for a validated A with m >= n; else
-    None."""
-    if A.shape[0] < A.shape[1]:
-        return None
-    S, e = _pow2_view(A)
-    return S.T @ S, e
+    return Z, _residual(S, Z), s, G
 
 
 def _residual(A, Z):
@@ -265,10 +260,10 @@ def _residual(A, Z):
     return np.subtract(A, E, out=E)
 
 
-def _baseline(top, norm, gram=None):
+def _baseline(top, norm, G=None):
     """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") read from
     top_k's (Z, E, s) as ||E||_2 or ||E||_F. Since A Z Z^T has rank k, these
-    are never below the exact values (up to rounding). With top_k's gram,
+    are never below the exact values (up to rounding). With _top_k's G,
     ||E||_2 is the certified upper end _gram_projected_norm reads from it;
     otherwise, or where that certifies none, both norms come from one
     rescaled copy of E (_norms), and both read exactly 0.0 when
@@ -276,8 +271,8 @@ def _baseline(top, norm, gram=None):
     instead of rounding noise. (A certified ||E||_2^2 exceeds 1e10 times
     the Gram slack, at least 1e-6 m s_1^2, so it is never that small.)"""
     Z, E, s = top
-    if norm == "spectral" and gram is not None:
-        spec = _gram_projected_norm(gram, E.shape[0], Z)
+    if norm == "spectral" and G is not None:
+        spec = _gram_projected_norm(G, E.shape[0], Z)
         if spec is not None:
             return spec
     spec, tail = _norms(E) if norm == "spectral" else (None, frobenius_norm(E))
@@ -436,23 +431,22 @@ def _lambda_max_upper(G, slack):
     return bar if bar - theta <= _GRAM_TAU_RATIO * theta else None
 
 
-def _gram_residual_norms(gram, m, s, Vt):
-    """(||R||_2, ||R||_F) of R = A - Q W Vt, for the (Q, W, Vt, s) of
-    _subspace_factors(A, C, k), from gram = (G, e) = _gram(A) without
-    forming R; None when _lambda_max_upper certifies no bound. G is
-    overwritten.
+def _gram_residual_norms(G, m, s, Vt):
+    """(||R||_2, ||R||_F) of R = S - Q W Vt, for the (Q, W, Vt, s) of
+    _subspace_factors(S, C, k), from the Gram matrix G = S^T S of the m x n
+    S, with max |S| in [1/2, 1), without forming R; None when
+    _lambda_max_upper certifies no bound. G is overwritten.
 
-    With B = Q^T A and B_k = W Vt its truncated SVD (singular values s),
-    R^T R = A^T A - B_k^T B_k, since Q^T Q = I and B_k's rows are orthogonal
-    to those of B - B_k. So R^T R / 4^e = G - Vt^T diag(s^2 / 4^e) Vt, a
-    rank-k update of G in its own buffer (dsyrk), and
-    ||R||_F^2 / 4^e = tr(G) - sum s^2 / 4^e. The computed G is within
-    gamma_m || |S|^T |S| ||_2 <= gamma_m tr(S^T S) of S^T S, S = A / 2^e
-    (Higham, Thm. 3.5 and || |S| ||_2 <= ||S||_F), and the update adds at
-    most gamma_{k+1} (|| |G| ||_2 + sum s^2 / 4^e) <= 2 gamma_{k+1} tr(G);
+    With B = Q^T S and B_k = W Vt its truncated SVD (singular values s),
+    R^T R = S^T S - B_k^T B_k, since Q^T Q = I and B_k's rows are orthogonal
+    to those of B - B_k. So R^T R = G - Vt^T diag(s^2) Vt, a rank-k update
+    of G in its own buffer (dsyrk), and ||R||_F^2 = tr(G) - sum s^2. The
+    computed G is within gamma_m || |S|^T |S| ||_2 <= gamma_m tr(S^T S) of
+    S^T S (Higham, Thm. 3.5 and || |S| ||_2 <= ||S||_F), and the update adds
+    at most gamma_{k+1} (|| |G| ||_2 + sum s^2) <= 2 gamma_{k+1} tr(G);
     slack = gamma_{m+2k+4} tr(G) covers both with their second-order
-    terms. The bound is on lambda_max(A^T A - B_k^T B_k) for the computed
-    factors, which miss Q^T Q = I and the exact truncation of Q^T A by
+    terms. The bound is on lambda_max(S^T S - B_k^T B_k) for the computed
+    factors, which miss Q^T Q = I and the exact truncation of Q^T S by
     rounding that the residual formed in floats carries too.
 
     tau <= _GRAM_TAU_RATIO theta also bounds the Frobenius cancellation:
@@ -460,22 +454,21 @@ def _gram_residual_norms(gram, m, s, Vt):
     """
     from scipy.linalg.blas import dsyrk
 
-    G, e = gram
     t = float(np.trace(G))
-    s = np.ldexp(s, -e)
     dsyrk(-1.0, Vt.T * s, beta=1.0, c=G.T, lower=1, overwrite_c=1)
     lam = _lambda_max_upper(G, _gamma(m + 2 * s.size + 4) * t)
     if lam is None:
         return None
-    return _sqrt_unscaled(lam, e), _sqrt_unscaled(t - float(s @ s), e)
+    return math.sqrt(lam), math.sqrt(max(t - float(s @ s), 0.0))
 
 
-def _gram_projected_norm(gram, m, Z):
-    """||A - A Z Z^T||_2 for an n x k Z with orthonormal columns, from
-    gram = (G, e) = _gram(A) without forming the residual (G is kept);
-    None when _lambda_max_upper certifies no bound.
+def _gram_projected_norm(G, m, Z):
+    """||S - S Z Z^T||_2 for an n x k Z with orthonormal columns, from the
+    Gram matrix G = S^T S of the m x n S, with max |S| in [1/2, 1), without
+    forming the residual (G is kept); None when _lambda_max_upper certifies
+    no bound.
 
-    For any Z, R = A (I - Z Z^T) has R^T R / 4^e = P G P, P = I - Z Z^T,
+    For any Z, R = S (I - Z Z^T) has R^T R = P G P, P = I - Z Z^T,
     = G - W Z^T - Z W^T with Y = G Z, X = Z^T Y and W = Y - Z X / 2 (X is
     symmetric), one rank-2k update of a copy of G (dsyr2k). Besides G's
     own rounding, gamma_m tr(G) as in _gram_residual_norms, the products
@@ -487,7 +480,6 @@ def _gram_projected_norm(gram, m, Z):
     """
     from scipy.linalg.blas import dsyr2k
 
-    G, e = gram
     n, k = Z.shape
     P = np.abs(G)
     g = float(P.sum(axis=1).max())
@@ -498,7 +490,7 @@ def _gram_projected_norm(gram, m, Z):
     slack = (_gamma(m + 4) * float(np.trace(G))
              + (3.0 * math.sqrt(k) + k + 1.0) * _gamma(n + 7 * k) * g)
     lam = _lambda_max_upper(P, slack)
-    return None if lam is None else _sqrt_unscaled(lam, e)
+    return None if lam is None else math.sqrt(lam)
 
 
 def pseudo_inverse(A):

@@ -288,6 +288,47 @@ def test_id_and_sketch_svd_baselines_take_no_full_size_svd(capsys,
     assert calls == []
 
 
+def test_id_baseline_runs_no_dense_eigensolver(capsys, monkeypatch):
+    # on a tall, full-rank input the baseline is the certified upper end
+    # read from the Gram matrix top_k builds; the one dsyevr call left is
+    # spectral_norm's, measuring the formed A - C X
+    import matsketch.cli as cli_module
+    from matsketch import linalg
+
+    measuring, dense = [], []
+    eigenvalues, spectral_norm = (linalg._gram_eigenvalues,
+                                  cli_module.spectral_norm)
+
+    def counting(*args, **kwargs):
+        dense.append(bool(measuring))
+        return eigenvalues(*args, **kwargs)
+
+    def measure(M):
+        measuring.append(True)
+        try:
+            return spectral_norm(M)
+        finally:
+            measuring.pop()
+
+    monkeypatch.setattr(linalg, "_gram_eigenvalues", counting)
+    monkeypatch.setattr(cli_module, "spectral_norm", measure)
+    code, rep = run_cli(capsys, "id", "-k", "3",
+                        "--synthetic", "lowrank:60,40,3,0.1")
+    assert code == 0, rep
+    assert rep["results"]["baseline"] > 0.0
+    assert dense == [True]
+
+
+@pytest.mark.parametrize("eps", ["nan", "-0.5", "0"])
+def test_coreset_names_a_nonpositive_eps(capsys, eps):
+    # nan was reported as "eps=nan is too small"
+    code, rep = run_cli(capsys, "coreset", "--method", "barrier", "--eps", eps,
+                        "--synthetic", "lowrank:40,3,2,0.1")
+    assert code == 2, rep
+    assert rep["error"] == {"type": "ArgumentError",
+                            "message": f"need eps > 0, got {float(eps)}"}
+
+
 _CORESET_INPUT = ["--synthetic", "lowrank:40,3,2,0.1"]
 _KMEANS_INPUT = ["--synthetic", "blobs:60,10,3,6"]
 

@@ -15,7 +15,7 @@ from matsketch import (ArgumentError, barrier_dual_spectral, barrier_single,
 from matsketch import cx as cx_module
 from matsketch import linalg
 from matsketch.cx import _certify, _check_kr
-from matsketch.linalg import SamplingPlan, _norms, as_matrix
+from matsketch.linalg import SamplingPlan, _norms, as_matrix, pow2_scaled
 from matsketch.synthetic import lowrank_plus_noise
 
 from conftest import plan_digest, rand
@@ -147,6 +147,35 @@ def test_column_selection_is_scale_equivariant(name, scale):
         assert getattr(got, field) == getattr(want, field) * scale, field
 
 
+_ENTRIES = {**_RUNS, "interpolative_decomposition":
+            lambda A: interpolative_decomposition(A, 3, seed=2)}
+
+
+@pytest.mark.parametrize("exponent", ["e!=0", "e=0"])
+@pytest.mark.parametrize("name", list(_ENTRIES))
+def test_a_is_rescaled_at_most_once(monkeypatch, name, exponent):
+    # the entry divides A by 2^e once and hands that S to every kernel; a
+    # kernel's own rescale of S is then a no-op that copies nothing
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    S, e = pow2_scaled(A)
+    assert e != 0
+    if exponent == "e=0":
+        A = S.copy()
+    rescaled = []
+    real = np.ldexp
+
+    def recording(x, *args, **kwargs):
+        if "out" not in kwargs:
+            rescaled.append(x)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", recording)
+    _ENTRIES[name](A)
+    copies = sum(isinstance(x, np.ndarray) and np.shares_memory(x, A)
+                 for x in rescaled)
+    assert copies <= (0 if exponent == "e=0" else 1)
+
+
 def _count_full_svds(monkeypatch, shape):
     """The compute_uv flag of every np.linalg.svd call on a `shape` matrix
     from here on."""
@@ -193,8 +222,10 @@ def _fit_norms(A, C, k):
     return _norms(A - approx)
 
 
-def _certify_plain(A, k, plan, gram=None):
-    return _certify(A, k, plan, "spectral", 1.0, "", 1.0, gram)
+def _certify_plain(A, k, plan, G=None):
+    S, e = pow2_scaled(A)
+    return _certify(A, S, e, k, plan, "spectral", 1.0, "",
+                    math.ldexp(1.0, -e), G)
 
 
 def _fallback_inputs():
@@ -217,7 +248,8 @@ def test_certify_falls_back_to_the_residual(monkeypatch, case):
 
     A = _fallback_inputs().get(case, _fallback_inputs()["full-rank"])
     plan = SamplingPlan(A.shape[1], np.arange(8), 1.0)
-    gram = linalg._gram(A)
+    S, _ = pow2_scaled(A)
+    G = S.T @ S if A.shape[0] >= A.shape[1] else None
     if case == "cholesky":
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
                             lambda a, **kw: (a, 1))
@@ -236,7 +268,7 @@ def test_certify_falls_back_to_the_residual(monkeypatch, case):
         return out
 
     monkeypatch.setattr(cx_module, "_gram_residual_norms", spy)
-    res = _certify_plain(A, 3, plan, gram)
+    res = _certify_plain(A, 3, plan, G)
     assert declined == ([] if case in ("wide", "zero") else [True])
     assert (res.rank_k_error_spectral, res.rank_k_error_frobenius) == \
         _fit_norms(A, res.C, 3)
@@ -281,7 +313,7 @@ def test_certify_validates_a_at_most_once(monkeypatch):
 
     for module in (linalg, cx_module):
         monkeypatch.setattr(module, "as_matrix", counting)
-    _certify(A, 3, plan, "spectral", 1.0, "")
+    _certify(A, *pow2_scaled(A), 3, plan, "spectral", 1.0, "")
     assert seen.count(A.shape) <= 1
 
 
@@ -303,8 +335,9 @@ def _ref_cx_spectral_deterministic(A, k, r):
         plan = barrier_single(f.V, r)
         const, sigma = 1.0 + 1.0 / shrink, 0.0
     formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
-    return _certify(A, k, plan, "spectral", math.sqrt(2.0) * const,
-                    formula, sigma)
+    S, e = pow2_scaled(A)
+    return _certify(A, S, e, k, plan, "spectral", math.sqrt(2.0) * const,
+                    formula, math.ldexp(sigma, -e))
 
 
 _FIELDS = ("rank_k_error_spectral", "rank_k_error_frobenius", "bound_value",

@@ -143,6 +143,13 @@ def test_selection_width_formula():
     assert selection_width(3, 1.0 / 3.0, 1.0) == 691
 
 
+@pytest.mark.parametrize("eps", [-0.5, 0.0, math.nan])
+def test_selection_width_refuses_a_nonpositive_eps(eps):
+    # -0.3 gave the width for +0.3: the formula squares eps
+    with pytest.raises(ArgumentError, match=f"need eps > 0, got {eps}"):
+        selection_width(3, eps, 4)
+
+
 def test_svd_method_returns_k_features():
     A, _ = blobs(40, 12, 3, sep=3.0, seed=11)
     C, Z = reduce_features(A, 3, 0.5, method="svd", seed=12)

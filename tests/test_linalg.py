@@ -9,10 +9,10 @@ from matsketch import (ArgumentError, NumericError, SamplingPlan,
                        apply_plan_columns, apply_plan_rows,
                        best_rank_k_in_subspace, boost_best, cx_frobenius,
                        lower_bound_instance, pseudo_inverse, svd)
-from matsketch.linalg import (_baseline, _gram, _gram_residual_norms,
+from matsketch.linalg import (_baseline, _gram_residual_norms,
                               _lambda_max_upper, _subspace_factors,
-                              frobenius_norm, rank_cutoff, singular_values,
-                              spectral_norm, top_k)
+                              frobenius_norm, pow2_scaled, rank_cutoff,
+                              singular_values, spectral_norm, top_k)
 from matsketch.synthetic import lowrank_plus_noise, random_orthonormal
 
 from conftest import rand
@@ -242,7 +242,9 @@ def _gram_fit(A, C, k):
     A = np.ascontiguousarray(A)
     C = A[:, :3 * k] if C is None else C
     Q, W, Vt, s = _subspace_factors(A, C, k)
-    return (_gram_residual_norms(_gram(A), A.shape[0], s, Vt),
+    S, e = pow2_scaled(A)
+    errors = _gram_residual_norms(S.T @ S, A.shape[0], np.ldexp(s, -e), Vt)
+    return (None if errors is None else tuple(np.ldexp(errors, e)),
             A - Q @ W @ Vt)
 
 
@@ -356,6 +358,32 @@ def test_plan_validation():
         SamplingPlan(3, [1, 1], 1.0, with_replacement=False)
     # the same duplicate is fine when declared with replacement
     SamplingPlan(3, [1, 1], 1.0, with_replacement=True)
+
+
+@pytest.mark.parametrize("source_dim, indices", [
+    (5, [1.5, 2.7]), (5, ["1"]), (5, [True, False]), (5, [1e20]),
+    (5, np.array([1.0, 2.0])), (5.5, [1, 2]), (5.0, [1, 2]),
+], ids=["fractional", "string", "bool", "huge-float", "integral-floats",
+        "fractional-dim", "float-dim"])
+def test_plan_refuses_non_integer_picks(source_dim, indices):
+    # [1.5, 2.7] was stored as [1, 2]; [1e20] warned on the cast instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match="integer"):
+            SamplingPlan(source_dim, indices, 1.0)
+
+
+def test_plan_takes_any_integer_dtype():
+    for indices in ([4, 1], np.array([4, 1], dtype=np.int32),
+                    np.array([4, 1], dtype=np.uint8)):
+        plan = SamplingPlan(np.int64(5), indices, 1.0)
+        assert plan.indices.dtype == np.dtype(int)
+        assert plan.indices.tolist() == [4, 1]
+    # range-checked before the cast to int, which would wrap it negative
+    with pytest.raises(ArgumentError, match="index 9223372036854775808 outside"):
+        SamplingPlan(5, np.array([2 ** 63], dtype=np.uint64), 1.0)
+    with pytest.raises(ArgumentError, match="plan has no picks"):
+        SamplingPlan(3, [], 1.0)
 
 
 def test_plan_arrays_are_read_only_and_errors_name_the_value():

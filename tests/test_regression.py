@@ -61,6 +61,13 @@ def test_coreset_size_formulas():
         coreset_size("bogus", 4, 0.5, 0.1, 10)
 
 
+@pytest.mark.parametrize("eps", [-0.5, 0.0, math.nan])
+def test_coreset_size_refuses_a_nonpositive_eps(eps):
+    # -0.5 gave the width for +0.5: the formula squares eps
+    with pytest.raises(ArgumentError, match=f"need eps > 0, got {eps}"):
+        coreset_size("barrier", 3, eps, 0.1, 100)
+
+
 # ---------------------------------------------------------------------------
 # build_coreset / evaluate_coreset
 
