@@ -131,20 +131,18 @@ def _parse_synthetic(spec, seed):
             if len(parts) != 4:
                 raise ValueError
             m, n, k = int(parts[0]), int(parts[1]), int(parts[2])
-            A = lowrank_plus_noise(m, n, k, float(parts[3]),
-                                   seed=rng.derive_seed(seed, rng.SYNTH, 0))
-            return A, None
+            return lowrank_plus_noise(m, n, k, float(parts[3]),
+                                      seed=rng.derive_seed(seed, rng.SYNTH, 0))
         if name == "blobs":
             if len(parts) != 4:
                 raise ValueError
             m, n, k = int(parts[0]), int(parts[1]), int(parts[2])
-            A, labels = blobs(m, n, k, float(parts[3]),
-                              seed=rng.derive_seed(seed, rng.SYNTH, 0))
-            return A, labels
+            return blobs(m, n, k, float(parts[3]),
+                         seed=rng.derive_seed(seed, rng.SYNTH, 0))[0]
         if name == "lowerbound":
             if len(parts) != 2:
                 raise ValueError
-            return lower_bound_instance(int(parts[0]), float(parts[1])), None
+            return lower_bound_instance(int(parts[0]), float(parts[1]))
     except ValueError:
         raise ArgumentError(
             f"bad synthetic spec {spec!r}; expected lowrank:m,n,k,noise | "
@@ -153,14 +151,14 @@ def _parse_synthetic(spec, seed):
 
 
 def _load_input(args):
-    """-> (matrix, source string, planted labels or None)."""
+    """-> (matrix, source string)."""
     if args.infile and args.synthetic:
         raise ArgumentError("pass --in or --synthetic, not both")
     if args.infile:
-        return load_matrix(args.infile, args.format), f"file:{args.infile}", None
+        return load_matrix(args.infile, args.format), f"file:{args.infile}"
     if args.synthetic:
-        A, labels = _parse_synthetic(args.synthetic, args.seed)
-        return A, f"synthetic:{args.synthetic}", labels
+        return (_parse_synthetic(args.synthetic, args.seed),
+                f"synthetic:{args.synthetic}")
     raise ArgumentError("no input: pass --in PATH or --synthetic SPEC")
 
 
@@ -213,11 +211,11 @@ def _trial_seeds(seed, trials):
 # ---------------------------------------------------------------- runners
 
 def _run_cx(args):
-    A, source, _ = _load_input(args)
+    A, source = _load_input(args)
     ex = _pow2_exponent(A)
     fn = cx_spectral if args.norm == "spectral" else cx_frobenius
     deterministic = args.mode == "deterministic"
-    trials = 1 if deterministic else max(1, args.trials)
+    trials = 1 if deterministic else args.trials
     seeds = [args.seed] if deterministic else _trial_seeds(args.seed, trials)
     per = []
     for s in seeds:
@@ -252,10 +250,9 @@ def _run_cx(args):
 
 
 def _run_cssp(args):
-    A, source, _ = _load_input(args)
+    A, source = _load_input(args)
     ex = _pow2_exponent(A)
-    trials = max(1, args.trials)
-    seeds = _trial_seeds(args.seed, trials)
+    seeds = _trial_seeds(args.seed, args.trials)
     per = []
     bound_value = bound_formula = baseline = None
     for s in seeds:
@@ -280,20 +277,20 @@ def _run_cssp(args):
         "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
                   "seed": args.seed},
         "params": {"k": args.k, "mode": args.mode, "delta": args.delta,
-                   "trials": trials},
+                   "trials": args.trials},
         "results": {
             "bound_value": bound_value,
             "bound_formula": bound_formula,
             "baseline": baseline,
             "mean_error": sum(errs) / len(errs) if errs else None,
-            "success_fraction": len(ok) / trials,
+            "success_fraction": len(ok) / args.trials,
             "per_trial": per,
         },
     }
 
 
 def _run_id(args):
-    A, source, _ = _load_input(args)
+    A, source = _load_input(args)
     A = as_matrix(A)
     C, X, plan = interpolative_decomposition(A, args.k, seed=args.seed)
     k, n = args.k, A.shape[1]
@@ -326,22 +323,17 @@ def _run_id(args):
 
 
 def _coreset_problem(args):
-    if args.infile:
-        M = load_matrix(args.infile, args.format)
-        if M.ndim != 2 or M.shape[1] < 2:
+    A, source = _load_input(args)
+    if args.infile:  # the file holds [A | b]
+        if A.shape[1] < 2:
             raise ArgumentError(
                 "coreset input file must be [A | b] with at least 2 columns")
-        A, b = M[:, :-1], M[:, -1]
-        source = f"file:{args.infile}"
-    elif args.synthetic:
-        A, _ = _parse_synthetic(args.synthetic, args.seed)
+        A, b = A[:, :-1], A[:, -1]
+    else:
         gen = rng.stream(args.seed, rng.SYNTH, 1)
         bx = A @ gen.standard_normal(A.shape[1])
         b = bx + 0.05 * (np.linalg.norm(bx) / math.sqrt(A.shape[0])) \
             * gen.standard_normal(A.shape[0])
-        source = f"synthetic:{args.synthetic}"
-    else:
-        raise ArgumentError("no input: pass --in PATH or --synthetic SPEC")
     return RegressionProblem(A, b, constraint=args.mode), source
 
 
@@ -349,7 +341,7 @@ def _run_coreset(args):
     p, source = _coreset_problem(args)
     m, n = p.A.shape
     deterministic = args.method == "barrier"
-    trials = 1 if deterministic else max(1, args.trials)
+    trials = 1 if deterministic else args.trials
     seeds = [args.seed] if deterministic else _trial_seeds(args.seed, trials)
     try:
         r_formula = coreset_size(args.method, n, args.eps, args.delta, m)
@@ -392,8 +384,8 @@ def _run_coreset(args):
 
 
 def _run_kmeans(args):
-    A, source, _ = _load_input(args)
-    restarts = max(1, args.trials)
+    A, source = _load_input(args)
+    restarts = args.trials
     base = lloyd(A, args.k, restarts=restarts, seed=args.seed)
     C, _aux = reduce_features(A, args.k, args.eps, method=args.method,
                               c0=args.c0, seed=args.seed)
@@ -423,7 +415,7 @@ def _run_kmeans(args):
 
 
 def _run_sketch_svd(args):
-    A, source, _ = _load_input(args)
+    A, source = _load_input(args)
     S, e = pow2_scaled(as_matrix(A))  # errors are scaled back for the report
     k, frob = args.k, args.mode == "frobenius"
     Z, E, s, G = _top_k(S, k)
@@ -431,9 +423,8 @@ def _run_sketch_svd(args):
     del E
     fn, norm, key = ((fast_frobenius_svd, frobenius_norm, "sq_ratio") if frob
                      else (fast_spectral_svd, spectral_norm, "ratio"))
-    trials = max(1, args.trials)
     per = []
-    for sd in _trial_seeds(args.seed, trials):
+    for sd in _trial_seeds(args.seed, args.trials):
         basis = fn(S, k, args.eps, seed=sd)
         # the spectral error from S's one Gram matrix; the residual only
         # where that certifies no bound
@@ -452,7 +443,7 @@ def _run_sketch_svd(args):
         "input": {"rows": S.shape[0], "cols": S.shape[1], "source": source,
                   "seed": args.seed},
         "params": {"k": k, "eps": args.eps, "mode": args.mode,
-                   "trials": trials},
+                   "trials": args.trials},
         "results": {
             "baseline": _pow2_unscaled(base, e),
             "bound_value": bound_factor,
@@ -517,6 +508,8 @@ def _experiment_id(args):
 
 
 def _run_one(args, experiment=None):
+    if getattr(args, "trials", 1) < 1:
+        raise ArgumentError(f"need --trials >= 1, got {args.trials}")
     t0 = time.perf_counter()
     report = _RUNNERS[args.command](args)
     report["experiment"] = experiment or _experiment_id(args)

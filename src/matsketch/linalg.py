@@ -265,17 +265,17 @@ def _baseline(top, norm, G=None):
     top_k's (Z, E, s) as ||E||_2 or ||E||_F. Since A Z Z^T has rank k, these
     are never below the exact values (up to rounding). With _top_k's G,
     ||E||_2 is the certified upper end _gram_projected_norm reads from it;
-    otherwise, or where that certifies none, both norms come from one
-    rescaled copy of E (_norms), and both read exactly 0.0 when
-    ||E||_F <= rank_cutoff(s), so input of rank <= k has a zero baseline
-    instead of rounding noise. (A certified ||E||_2^2 exceeds 1e10 times
-    the Gram slack, at least 1e-6 m s_1^2, so it is never that small.)"""
+    otherwise, or where that certifies none, from one rescaled copy of E
+    (_norms); ||E||_F is read off E, in S's units. Both read exactly 0.0 when
+    ||E||_F <= rank_cutoff(s), as does any ||E||_F whose squares underflow,
+    so input of rank <= k has a zero baseline instead of rounding noise. (A
+    certified ||E||_2^2 exceeds 1e10 times the Gram slack, >= 1e-6 m s_1^2.)"""
     Z, E, s = top
     if norm == "spectral" and G is not None:
         spec = _gram_projected_norm(G, E.shape[0], Z)
         if spec is not None:
             return spec
-    spec, tail = _norms(E) if norm == "spectral" else (None, frobenius_norm(E))
+    spec, tail = _norms(E) if norm == "spectral" else (None, np.linalg.norm(E))
     if tail <= rank_cutoff(s, E.shape):
         return 0.0
     return spec if norm == "spectral" else tail

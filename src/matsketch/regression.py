@@ -19,6 +19,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,9 @@ _MAX_WALK_PER_ROW = 16
 
 @dataclass(frozen=True)
 class RegressionProblem:
+    """min ||A x - b|| under the constraint. A and b are kept read-only and
+    unshared with the caller, so the factors cached on first use stay true."""
+
     A: np.ndarray
     b: np.ndarray
     constraint: str = "none"
@@ -59,8 +63,18 @@ class RegressionProblem:
                 f"constraint must be one of {_CONSTRAINTS}, got {self.constraint!r}")
         if singular_values(A).size != n:
             raise RankError(f"design matrix is rank-deficient (rank < {n})")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        for name, a in (("A", A), ("b", b)):
+            a = a.copy() if np.may_share_memory(a, getattr(self, name)) else a
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def _basis(self):  # U_Y for the barrier and subspace coresets
+        return svd(np.column_stack([self.A, self.b])).U  # m x rank([A b])
+
+    @cached_property
+    def _optimum(self):
+        return solve_ls(self.A, self.b, self.constraint)
 
 
 @dataclass(frozen=True)
@@ -105,23 +119,23 @@ def coreset_size(method, n, eps, delta, m):
 def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
     """Build a coreset whose LS solution is (1+eps)-good on the full data.
 
-    barrier: deterministic and certified on every run. With U_Y an
-    orthonormal basis of [A b] and d = rank([A b]), the single-set barrier
-    walk on U_Y is run for ceil(9 d/eps^2) steps and the distortion kappa
-    of its plan on span(U_Y) is measured (Coreset.kappa, with its rounding
-    margin). A plan with kappa <= 1 + eps is returned; otherwise the walk
-    is run again at twice the length, up to the formula's
-    r = ceil(225(n+1)/eps^2), where the barrier's sandwich
-    ((1 + eps/15)/(1 - eps/15))^2 < 1 + eps holds for every plan. A walk
-    longer than 16 m steps is not started: all m rows at weight 1 are
-    returned instead (kappa = 1, plan note "all-rows"). Coreset.steps is
-    the total walked. subspace: leverage-score row sampling,
-    r = ceil(36(n+1) ln(2(n+1)/delta)/eps^2), holds w.p. >= 1-delta.
-    srht: uniform sampling of Hadamard-mixed rows with
-    r = ceil(72(n+1) ln(2(n+1)/delta) log2(40(n+1)m)/eps^2), holds w.p.
-    >= 0.95-delta. r_override replaces the formula count: a barrier walk
-    of exactly that many steps, whose kappa is reported but not checked
-    (meant for desk-scale experiments).
+    barrier: deterministic and certified on every run. With U_Y the
+    orthonormal basis of [A b] that p factors once for all its coresets
+    and d = rank([A b]), the single-set barrier walk on U_Y runs
+    ceil(9 d/eps^2) steps and the distortion kappa of its plan on
+    span(U_Y) is measured (Coreset.kappa, with its rounding margin). A
+    plan with kappa <= 1 + eps is returned; otherwise the walk is run
+    again at twice the length, up to the formula's r = ceil(225(n+1)/eps^2),
+    where the barrier's sandwich ((1 + eps/15)/(1 - eps/15))^2 < 1 + eps
+    holds for every plan. A walk longer than 16 m steps is not started:
+    all m rows at weight 1 are returned instead (kappa = 1, plan note
+    "all-rows"). Coreset.steps is the total walked. subspace: leverage
+    sampling of the rows of U_Y, r = ceil(36(n+1) ln(2(n+1)/delta)/eps^2),
+    holds w.p. >= 1-delta. srht: uniform sampling of Hadamard-mixed rows
+    (no U_Y) with r = ceil(72(n+1) ln(2(n+1)/delta) log2(40(n+1)m)/eps^2),
+    holds w.p. >= 0.95-delta. r_override replaces the formula count: a
+    barrier walk of exactly that many steps, whose kappa is reported but
+    not checked (meant for desk-scale experiments).
     """
     if not isinstance(p, RegressionProblem):
         raise ArgumentError("build_coreset expects a RegressionProblem")
@@ -147,7 +161,7 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         C, b_c, plan = srht_rows(p.A, p.b, r,
                                  seed=rng.derive_seed(seed, rng.CORESET, 1))
     else:
-        U_Y = svd(np.column_stack([p.A, p.b])).U  # m x rank(Y), rank <= n+1
+        U_Y = p._basis
         if method == "barrier":
             if r <= U_Y.shape[1]:
                 raise ArgumentError(
@@ -252,18 +266,19 @@ def solve_ls(C, b, constraint="none"):
 
 
 def evaluate_coreset(p, c):
-    """Solve full and coreset problems, report the objective ratio.
+    """Solve the coreset problem; report the objective ratio on full data.
 
     The ratio is ||A x_coreset - b||^2 / ||A x_full - b||^2, both
     residuals measured on the full data and divided by 2^e (e from
     max |[A | b]|) before squaring, so 2^j (A, b) give the same ratio. A
     zero full residual (linalg._ratio) with a zero coreset residual
-    reports 1.0; with a nonzero one, +inf (ratio_finite=False). kappa,
-    steps and note are the coreset's certificate, its barrier steps and
-    its plan's note ("all-rows" for the barrier's all-rows answer).
+    reports 1.0; with a nonzero one, +inf (ratio_finite=False). x_full is
+    solved on p's first evaluate and kept; full_solve_seconds times its
+    read. kappa, steps and note are the coreset's certificate, its barrier
+    steps and its plan's note ("all-rows" for the barrier's all-rows answer).
     """
     t0 = time.perf_counter()
-    x_full = solve_ls(p.A, p.b, p.constraint)
+    x_full = p._optimum
     t_full = time.perf_counter() - t0
     t0 = time.perf_counter()
     x_core = solve_ls(c.C, c.b_c, p.constraint)

@@ -184,10 +184,12 @@ def test_file_input_and_report_output(capsys, tmp_path):
 def test_file_and_synthetic_are_exclusive(capsys, tmp_path):
     mat = tmp_path / "a.csv"
     save_matrix(mat, np.eye(8), format="csv")
-    code, err = run_cli(capsys, "cssp", "-k", "2", "--in", str(mat),
-                        "--synthetic", "lowrank:8,8,2,0.1")
-    assert code == 2
-    assert "not both" in err["error"]["message"]
+    for argv in (["cssp", "-k", "2"],
+                 ["coreset", "--method", "subspace", "--eps", "0.5", "-r", "4"]):
+        code, err = run_cli(capsys, *argv, "--in", str(mat),
+                            "--synthetic", "lowrank:8,8,2,0.1")
+        assert code == 2, argv
+        assert "not both" in err["error"]["message"]
 
 
 _SCALE_CASES = {
@@ -410,6 +412,22 @@ def test_exit_2_on_bad_precondition(capsys):
                         "--synthetic", "lowrank:20,10,2,0.1")
     assert code == 2
     assert err["error"]["type"] == "ArgumentError"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["cx", "frobenius", "--mode", "relative", "-k", "2", "-r", "8"],
+    ["cssp", "-k", "2"],
+    ["coreset", "--method", "subspace", "--eps", "0.3", "-r", "40"],
+    ["kmeans", "-k", "2"],
+    ["sketch-svd", "-k", "2"],
+], ids=lambda argv: argv[0])
+def test_exit_2_on_fewer_than_one_trial(capsys, argv, trials):
+    code, err = run_cli(capsys, *argv, "--trials", trials,
+                        "--synthetic", "lowrank:60,8,2,0.1")
+    assert code == 2
+    assert err["error"]["type"] == "ArgumentError"
+    assert err["error"]["message"] == f"need --trials >= 1, got {trials}"
 
 
 def test_exit_2_on_bad_synthetic_spec(capsys):

@@ -176,6 +176,26 @@ def test_a_is_rescaled_at_most_once(monkeypatch, name, exponent):
     assert copies <= (0 if exponent == "e=0" else 1)
 
 
+def test_frobenius_baseline_reads_the_residual_without_a_copy(monkeypatch):
+    # E is in S's units, so ||E||_F is read off E as it stands: a rescaled
+    # copy would be one more m x n array per Frobenius certificate
+    S, _ = pow2_scaled(lowrank_plus_noise(60, 40, 3, 0.1, seed=7))
+    Z, E, s, _ = linalg._top_k(S, 3)
+    assert linalg._pow2_exponent(E) != 0  # so a rescale would copy E
+    want = linalg.frobenius_norm(E)
+    rescaled = []
+    real = np.ldexp
+
+    def recording(x, *args, **kwargs):
+        rescaled.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", recording)
+    got = linalg._baseline((Z, E, s), "frobenius")
+    assert E.shape not in rescaled
+    assert got == want > 0.0
+
+
 def _count_full_svds(monkeypatch, shape):
     """The compute_uv flag of every np.linalg.svd call on a `shape` matrix
     from here on."""

@@ -168,6 +168,73 @@ def test_full_data_coreset_is_neutral():
     assert evaluate_coreset(p, c)["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# one factorization per problem
+
+
+def _count_calls(monkeypatch, module, name, rows):
+    """Every call of module.name on a `rows`-row first argument from here on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[0] == rows:
+            calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [2, 5])
+def test_subspace_trials_factor_the_problem_once(monkeypatch, trials):
+    # the rank check, the SVD of [A b] and the full solve's SVD: once each,
+    # however many coresets are built and evaluated on the problem
+    svds = _count_calls(monkeypatch, np.linalg, "svd", 400)
+    p = _problem(400, 3, 11)
+    for s in range(trials):
+        c = build_coreset(p, 0.3, method="subspace", seed=s, r_override=100)
+        evaluate_coreset(p, c)
+    assert len(svds) == 3
+
+
+def test_nonnegative_srht_trials_solve_the_full_problem_once(monkeypatch):
+    import scipy.optimize
+
+    solves = _count_calls(monkeypatch, scipy.optimize, "nnls", 400)
+    p = _problem(400, 3, 12, "nonnegative")
+    reps = [evaluate_coreset(p, build_coreset(p, 0.3, method="srht", seed=s,
+                                              r_override=100))
+            for s in range(4)]
+    assert len(solves) == 1
+    assert len({r["full_objective"] for r in reps}) == 1
+
+
+def test_problem_keeps_its_data_when_the_caller_writes():
+    g = rand(13)
+    A = g.normal(size=(300, 3))
+    b = A @ np.ones(3) + 0.1 * g.normal(size=300)
+    A0, b0 = A.copy(), b.copy()
+    p = RegressionProblem(A, b)
+    assert not (p.A.flags.writeable or p.b.flags.writeable)
+    with pytest.raises(ValueError):
+        p.A[0, 0] = 0.0
+    first = build_coreset(p, 0.3, method="subspace", seed=2, r_override=80)
+    A[:] = g.normal(size=A.shape)  # U_Y is cached by now, the solve is not
+    b[:] = 0.0
+    fresh = RegressionProblem(A0, b0)
+    for method in ("barrier", "subspace"):
+        got, want = (build_coreset(q, 0.3, method=method, seed=2, r_override=80)
+                     for q in (p, fresh))
+        assert np.array_equal(got.plan.indices, want.plan.indices)
+        assert np.array_equal(got.plan.weights, want.plan.weights)
+        assert np.array_equal(got.C, want.C)
+    assert np.array_equal(first.C, want.C)
+    got, want = evaluate_coreset(p, first), evaluate_coreset(fresh, first)
+    assert got["ratio"] == want["ratio"]
+    assert got["full_objective"] == want["full_objective"]
+
+
 def test_randomized_coresets_hit_probability_targets():
     # formula sizes only fit the data at m = 6000 (subspace r = 5680); the
     # srht formula never fits desk-scale m, so it runs through the override
