@@ -18,9 +18,9 @@ from .errors import (ArgumentError, ConvergenceError, DataFormatError,
                      NumericError, RankError)
 from .kmeans import (ClusterAssignment, indicator_matrix, kmeans_cost, lloyd,
                      reduce_features, selection_width)
-from .linalg import (SamplingPlan, SvdFactors, apply_plan_columns,
-                     apply_plan_rows, best_rank_k_in_subspace, boost_best,
-                     orth_basis, pseudo_inverse, svd)
+from .linalg import (ColumnProblem, SamplingPlan, SvdFactors,
+                     apply_plan_columns, apply_plan_rows,
+                     best_rank_k_in_subspace, boost_best, pseudo_inverse, svd)
 from .mmio import load_matrix, save_matrix
 from .oracles import (all_subset_errors, best_subset_exhaustive,
                       volume_probabilities_exhaustive)
@@ -43,9 +43,9 @@ __all__ = [
     "InfeasibleStepError", "MatsketchError", "NumericError", "RankError",
     "ClusterAssignment", "indicator_matrix", "kmeans_cost", "lloyd",
     "reduce_features", "selection_width",
-    "SamplingPlan", "SvdFactors", "apply_plan_columns", "apply_plan_rows",
-    "best_rank_k_in_subspace", "boost_best", "orth_basis", "pseudo_inverse",
-    "svd",
+    "ColumnProblem", "SamplingPlan", "SvdFactors", "apply_plan_columns",
+    "apply_plan_rows", "best_rank_k_in_subspace", "boost_best",
+    "pseudo_inverse", "svd",
     "load_matrix", "save_matrix",
     "all_subset_errors", "best_subset_exhaustive",
     "volume_probabilities_exhaustive",

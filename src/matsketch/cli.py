@@ -23,10 +23,9 @@ from .cx import (cssp, cx_frobenius, cx_spectral, interpolative_decomposition,
                  lower_bound_instance)
 from .errors import ArgumentError, MatsketchError
 from .kmeans import kmeans_cost, lloyd, reduce_features
-from .linalg import (_baseline, _gram_projected_norm, _pow2_exponent,
-                     _pow2_unscaled, _ratio, _residual, _top_k, _within,
-                     as_matrix, frobenius_norm, pow2_scaled, singular_values,
-                     spectral_norm)
+from .linalg import (ColumnProblem, _norms, _pow2_unscaled, _ratio,
+                     _residual, _within, frobenius_norm, pow2_scaled,
+                     singular_values)
 from .mmio import load_matrix
 from .oracles import all_subset_errors
 from .regression import (RegressionProblem, build_coreset, coreset_size,
@@ -63,7 +62,8 @@ def _build_parser():
                         help="lowrank:m,n,k,noise | blobs:m,n,k,sep | "
                              "lowerbound:n,alpha")
         sp.add_argument("--seed", type=int, default=seed0)
-        sp.add_argument("--trials", type=int, default=trials)
+        if trials:
+            sp.add_argument("--trials", type=int, default=trials)
         sp.add_argument("--out", metavar="PATH", help="write report here "
                         "instead of stdout")
 
@@ -84,7 +84,7 @@ def _build_parser():
 
     p = sub.add_parser("id", help="interpolative decomposition A ~ CX")
     p.add_argument("-k", type=int, required=True)
-    io_flags(p)
+    io_flags(p, trials=None)
 
     p = sub.add_parser("coreset", help="row coresets for least squares")
     p.add_argument("--method", default="barrier",
@@ -212,22 +212,22 @@ def _trial_seeds(seed, trials):
 
 def _run_cx(args):
     A, source = _load_input(args)
-    ex = _pow2_exponent(A)
+    p = ColumnProblem(A)
     fn = cx_spectral if args.norm == "spectral" else cx_frobenius
     deterministic = args.mode == "deterministic"
     trials = 1 if deterministic else args.trials
     seeds = [args.seed] if deterministic else _trial_seeds(args.seed, trials)
     per = []
     for s in seeds:
-        res = fn(A, args.k, args.r, mode=args.mode, seed=s)
+        res = fn(p, args.k, args.r, mode=args.mode, seed=s)
         err = (res.rank_k_error_spectral if args.norm == "spectral"
                else res.rank_k_error_frobenius)
         per.append({"algorithm_seed": "deterministic" if deterministic else s,
-                    "error": err, "ratio": _ratio(err, res.baseline_sigma, ex),
+                    "error": err, "ratio": _ratio(err, res.baseline_sigma, p.e),
                     "columns_picked": len(res.plan)})
     errs = [e["error"] for e in per]
     mean_err = sum(errs) / len(errs)
-    satisfied = all(_within(x, res.bound_value, ex)
+    satisfied = all(_within(x, res.bound_value, p.e)
                     for x in (errs if deterministic else [mean_err]))
     return {
         "algorithm": fn.__name__,
@@ -251,13 +251,13 @@ def _run_cx(args):
 
 def _run_cssp(args):
     A, source = _load_input(args)
-    ex = _pow2_exponent(A)
+    p = ColumnProblem(A)
     seeds = _trial_seeds(args.seed, args.trials)
     per = []
     bound_value = bound_formula = baseline = None
     for s in seeds:
         try:
-            res = cssp(A, args.k, mode=args.mode, delta=args.delta, seed=s)
+            res = cssp(p, args.k, mode=args.mode, delta=args.delta, seed=s)
         except MatsketchError as e:
             per.append({"algorithm_seed": s,
                         "failed": f"{type(e).__name__}: {e}"})
@@ -267,9 +267,9 @@ def _run_cssp(args):
         err = (res.rank_k_error_spectral if res.norm == "spectral"
                else res.rank_k_error_frobenius)
         per.append({"algorithm_seed": s, "error": err,
-                    "ratio": _ratio(err, res.baseline_sigma, ex),
+                    "ratio": _ratio(err, res.baseline_sigma, p.e),
                     "columns": res.plan.indices.tolist(),
-                    "satisfied": _within(err, res.bound_value, ex)})
+                    "satisfied": _within(err, res.bound_value, p.e)})
     ok = [e for e in per if e.get("satisfied")]
     errs = [e["error"] for e in per if "error" in e]
     return {
@@ -291,14 +291,12 @@ def _run_cssp(args):
 
 def _run_id(args):
     A, source = _load_input(args)
-    A = as_matrix(A)
-    C, X, plan = interpolative_decomposition(A, args.k, seed=args.seed)
+    p = ColumnProblem(A)
+    C, X, plan = interpolative_decomposition(p, args.k, seed=args.seed)
     k, n = args.k, A.shape[1]
     sel = plan.indices
-    err = spectral_norm(A - C @ X)
-    S, e = pow2_scaled(A)
-    Z, E, s, G = _top_k(S, k)
-    baseline = _pow2_unscaled(_baseline((Z, E, s), "spectral", G), e)
+    err = _norms(p.A - C @ X)[0]
+    baseline = _pow2_unscaled(p.baseline(k, "spectral"), p.e)
     bound = 4.0 * math.sqrt(4.0 * k * (n - k) + 1.0) * baseline
     xs = np.linalg.svd(X, compute_uv=False)
     return {
@@ -317,7 +315,7 @@ def _run_id(args):
             "bound_value": bound,
             "bound_formula": "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}",
             "baseline": baseline,
-            "ratio": _ratio(err, baseline, e),
+            "ratio": _ratio(err, baseline, p.e),
         },
     }
 
@@ -416,23 +414,17 @@ def _run_kmeans(args):
 
 def _run_sketch_svd(args):
     A, source = _load_input(args)
-    S, e = pow2_scaled(as_matrix(A))  # errors are scaled back for the report
+    p = ColumnProblem(A)  # errors are taken on p.S and scaled back
     k, frob = args.k, args.mode == "frobenius"
-    Z, E, s, G = _top_k(S, k)
-    base = _baseline((Z, E, s), args.mode, G)
-    del E
-    fn, norm, key = ((fast_frobenius_svd, frobenius_norm, "sq_ratio") if frob
-                     else (fast_spectral_svd, spectral_norm, "ratio"))
+    base = p.baseline(k, args.mode)
+    fn, key = ((fast_frobenius_svd, "sq_ratio") if frob
+               else (fast_spectral_svd, "ratio"))
     per = []
     for sd in _trial_seeds(args.seed, args.trials):
-        basis = fn(S, k, args.eps, seed=sd)
-        # the spectral error from S's one Gram matrix; the residual only
-        # where that certifies no bound
-        err = (None if frob or G is None
-               else _gram_projected_norm(G, S.shape[0], basis.Z))
-        if err is None:
-            err = norm(_residual(S, basis.Z))
-        per.append({"algorithm_seed": sd, "error": _pow2_unscaled(err, e),
+        basis = fn(p.S, k, args.eps, seed=sd)
+        err = (frobenius_norm(_residual(p.S, basis.Z)) if frob
+               else p.residual_norm(basis.Z))
+        per.append({"algorithm_seed": sd, "error": _pow2_unscaled(err, p.e),
                     key: _ratio(err, base, 0, 2 if frob else 1)})
     mean_stat = _finite_mean([t[key] for t in per])
     bound_factor, formula = (
@@ -440,12 +432,12 @@ def _run_sketch_svd(args):
         else (math.sqrt(2.0) + args.eps, "E: (sqrt(2)+eps)*sigma_{k+1}"))
     return {
         "algorithm": fn.__name__,
-        "input": {"rows": S.shape[0], "cols": S.shape[1], "source": source,
+        "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
                   "seed": args.seed},
         "params": {"k": k, "eps": args.eps, "mode": args.mode,
                    "trials": args.trials},
         "results": {
-            "baseline": _pow2_unscaled(base, e),
+            "baseline": _pow2_unscaled(base, p.e),
             "bound_value": bound_factor,
             "bound_formula": formula,
             "power_iterations": basis.power,

@@ -6,6 +6,7 @@ construction invariants (finite entries, nonempty) at API boundaries.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -196,63 +197,6 @@ def _pow2_unscaled(x, e):
         return float(np.ldexp(x, e))
 
 
-def top_k(A, k):
-    """(Z, E, s): orthonormal n x k Z spanning A's top-k right singular
-    subspace, the residual E = A - A Z Z^T and the k Ritz values s, largest
-    first.
-
-    Runs _top_k on S = A / 2^e (pow2_scaled), so equal input gives equal
-    bits, and 2^j A gives the same Z and 2^j times E and s.
-    """
-    S, e = pow2_scaled(as_matrix(A))
-    Z, E, s, _ = _top_k(S, k)
-    return Z, np.ldexp(E, e, out=E), np.ldexp(s, e)
-
-
-def _top_k(S, k):
-    """top_k of a validated S with max |S| in [1/2, 1) (or zero), as
-    (Z, E, s, G) in S's units: G = S^T S is the Gram matrix the Lanczos ran
-    on when m >= n, which the spectral error of a rank-k fit of S is then
-    measured from (_gram_residual_norms), else None.
-
-    ARPACK's Lanczos runs on the explicit smaller Gram matrix of S (one
-    product over S; each Lanczos step is then one min(m, n)-square matvec)
-    to tol=0, from a fixed start vector and with a fixed generator for its
-    restarts (scipy's svds draws those from OS entropy). k = min(m, n)
-    takes the dense SVD; an all-zero S gives the first k columns of I_n and
-    E = 0, s = 0. E (_residual) is the only m x n array built.
-    """
-    m, n = S.shape
-    if not 1 <= k <= min(m, n):
-        raise ArgumentError(f"need 1 <= k <= min(m,n)={min(m, n)}, got k={k}")
-    G = None
-    if not S.any():
-        Z, s = np.eye(n, k), np.zeros(k)
-    elif k == min(m, n):
-        _, s, Vt, _ = _svd(S, True)
-        Z = np.ascontiguousarray(Vt[:k].T)
-    else:
-        import scipy.sparse.linalg as sla  # ~30 ms to import; only ARPACK needs it
-
-        X = S if n <= m else S.T  # the Gram matrix X^T X is min(m, n) square
-        X = X.T @ X
-        gen = rng.stream(0, rng.TOP_K)
-        try:
-            _, V = sla.eigsh(X, k, v0=gen.standard_normal(X.shape[0]),
-                             tol=0, rng=gen)
-        except sla.ArpackError as err:  # ArpackNoConvergence included
-            raise NumericError(f"ARPACK found no top-{k} subspace: {err}") from err
-        G = X if n <= m else None
-        del X
-        V, _ = np.linalg.qr(V)
-        if n <= m:
-            _, s, Wt = np.linalg.svd(S @ V, full_matrices=False)
-            Z = V @ Wt.T
-        else:
-            Z, s, _ = np.linalg.svd(S.T @ V, full_matrices=False)
-    return Z, _residual(S, Z), s, G
-
-
 def _residual(A, Z):
     """A - (A Z) Z^T, formed in the buffer of the product: the only m x n
     array built."""
@@ -260,25 +204,100 @@ def _residual(A, Z):
     return np.subtract(A, E, out=E)
 
 
-def _baseline(top, norm, G=None):
-    """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") read from
-    top_k's (Z, E, s) as ||E||_2 or ||E||_F. Since A Z Z^T has rank k, these
-    are never below the exact values (up to rounding). With _top_k's G,
-    ||E||_2 is the certified upper end _gram_projected_norm reads from it;
-    otherwise, or where that certifies none, from one rescaled copy of E
-    (_norms); ||E||_F is read off E, in S's units. Both read exactly 0.0 when
-    ||E||_F <= rank_cutoff(s), as does any ||E||_F whose squares underflow,
-    so input of rank <= k has a zero baseline instead of rounding noise. (A
-    certified ||E||_2^2 exceeds 1e10 times the Gram slack, >= 1e-6 m s_1^2.)"""
-    Z, E, s = top
-    if norm == "spectral" and G is not None:
-        spec = _gram_projected_norm(G, E.shape[0], Z)
-        if spec is not None:
-            return spec
-    spec, tail = _norms(E) if norm == "spectral" else (None, np.linalg.norm(E))
-    if tail <= rank_cutoff(s, E.shape):
-        return 0.0
-    return spec if norm == "spectral" else tail
+class ColumnProblem:
+    """A column-selection input A, validated once and held as a read-only
+    view (not a copy) that must not be written while the problem is in
+    use. What the bounds on A read is formed on first use and kept: S =
+    A / 2^e (pow2_scaled), its smaller Gram matrix `gram` and, for each
+    k, `top`, `residual` and both `baseline`s, all in S's units."""
+
+    def __init__(self, A):
+        self.A = as_matrix(A).view()
+        self.A.setflags(write=False)
+        self.e = _pow2_exponent(self.A)
+        self._memo = {}
+
+    @cached_property
+    def S(self):
+        return np.ldexp(self.A, -self.e) if self.e else self.A
+
+    @cached_property
+    def gram(self):
+        """S^T S if m >= n, else S S^T; no kernel writes it."""
+        S = self.S
+        G = S.T @ S if S.shape[0] >= S.shape[1] else S @ S.T
+        G.setflags(write=False)
+        return G
+
+    def top(self, k):
+        """(Z, s): orthonormal n x k Z spanning S's top-k right singular
+        subspace and the k Ritz values s, largest first.
+
+        ARPACK's Lanczos runs on `gram` (one product over S; each Lanczos
+        step is then one min(m, n)-square matvec) to tol=0, from a fixed
+        start vector and with a fixed generator for its restarts (scipy's
+        svds draws those from OS entropy). k = min(m, n) takes the dense
+        SVD; an all-zero S gives the first k columns of I_n and s = 0.
+        """
+        if ("top", k) in self._memo:
+            return self._memo["top", k]
+        S = self.S
+        m, n = S.shape
+        if not 1 <= k <= min(m, n):
+            raise ArgumentError(f"need 1 <= k <= min(m,n)={min(m, n)}, got k={k}")
+        if not S.any():
+            Z, s = np.eye(n, k), np.zeros(k)
+        elif k == min(m, n):
+            _, s, Vt, _ = _svd(S, True)
+            Z = np.ascontiguousarray(Vt[:k].T)
+        else:
+            import scipy.sparse.linalg as sla  # ~30 ms to import; only ARPACK needs it
+
+            gen = rng.stream(0, rng.TOP_K)
+            try:
+                _, V = sla.eigsh(self.gram, k, v0=gen.standard_normal(min(m, n)),
+                                 tol=0, rng=gen)
+            except sla.ArpackError as err:  # ArpackNoConvergence included
+                raise NumericError(f"ARPACK found no top-{k} subspace: {err}") from err
+            V, _ = np.linalg.qr(V)
+            if n <= m:
+                _, s, Wt = np.linalg.svd(S @ V, full_matrices=False)
+                Z = V @ Wt.T
+            else:
+                Z, s, _ = np.linalg.svd(S.T @ V, full_matrices=False)
+        self._memo["top", k] = Z, s
+        return Z, s
+
+    def residual(self, k):
+        """E = S - S Z Z^T for top(k)'s Z (_residual)."""
+        if ("residual", k) not in self._memo:
+            self._memo["residual", k] = _residual(self.S, self.top(k)[0])
+        return self._memo["residual", k]
+
+    def residual_norm(self, Z, E=None):
+        """||S - S Z Z^T||_2 for orthonormal Z: the certified upper end
+        _gram_projected_norm reads from `gram` where m >= n, else or where
+        it certifies none _norms of the residual E (formed if not given)."""
+        m, n = self.S.shape
+        spec = _gram_projected_norm(self.gram, m, Z) if m >= n else None
+        return spec if spec is not None else _norms(
+            _residual(self.S, Z) if E is None else E)[0]
+
+    def baseline(self, k, norm):
+        """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") read
+        from E = residual(k) as residual_norm or ||E||_F. Since S Z Z^T has
+        rank k, these are never below the exact values (up to rounding).
+        Both read exactly 0.0 when ||E||_F <= rank_cutoff(s), as does any
+        ||E||_F whose squares underflow, so input of rank <= k has a zero
+        baseline instead of rounding noise. (A certified ||E||_2^2 exceeds
+        1e10 times the Gram slack, >= 1e-6 m s_1^2, so it is never zeroed.)"""
+        if (norm, k) not in self._memo:
+            (Z, s), E = self.top(k), self.residual(k)
+            tail = np.linalg.norm(E)
+            self._memo[norm, k] = (
+                0.0 if tail <= rank_cutoff(s, E.shape)
+                else self.residual_norm(Z, E) if norm == "spectral" else tail)
+        return self._memo[norm, k]
 
 
 def _ratio(num, den, e, power=1):
@@ -333,22 +352,17 @@ def _sqrt_unscaled(lam, e):
     return _pow2_unscaled(math.sqrt(max(float(lam), 0.0)), e)
 
 
-def spectral_norm(M):
-    """||M||_2 as sqrt(lambda_max) of the smaller Gram matrix of M.
-
-    One Gram product and one dsyevr call that computes the top eigenvalue
-    only, instead of an SVD. The eigenvalue step adds a relative error of
-    O(min(m, n) * eps); the Gram product's rounding adds at most m times
-    that in the worst case. M is first rescaled exactly by a power of two,
-    so the Gram entries neither overflow nor underflow.
-    """
-    S, e = pow2_scaled(as_matrix(M, "M"))
-    return _sqrt_unscaled(_gram_eigenvalues(S, top_only=True)[0], e)
-
-
 def _norms(M):
     """(||M||_2, ||M||_F) of a 2-D M from one power-of-two-rescaled copy;
-    the same bits as (spectral_norm(M), frobenius_norm(M))."""
+    ||M||_F has the same bits as frobenius_norm(M).
+
+    ||M||_2 is sqrt(lambda_max) of the smaller Gram matrix of M: one Gram
+    product and one dsyevr call that computes the top eigenvalue only,
+    instead of an SVD. The eigenvalue step adds a relative error of
+    O(min(m, n) * eps); the Gram product's rounding adds at most m times
+    that in the worst case. The rescale keeps the Gram entries from
+    overflowing or underflowing.
+    """
     S, e = pow2_scaled(M)
     frob = _pow2_unscaled(np.linalg.norm(S), e)
     return _sqrt_unscaled(_gram_eigenvalues(S, top_only=True)[0], e), frob
@@ -377,7 +391,7 @@ def _lambda_max_upper(G, slack):
 
     G is a C-ordered symmetric n x n (n >= 2) matrix of which only the upper
     triangle is read, and the call overwrites it. ARPACK's Lanczos (eigsh,
-    which="LA", tol=0, with top_k's fixed start vector and generator) gives
+    which="LA", tol=0, seeded as in ColumnProblem.top) gives
     a Ritz value theta. dpotrf then factors H = c I - G in G's own buffer,
     with c = (1 + gamma_{n+1}) theta, a shift at the scale of Cholesky's
     own rounding so that this nearly singular H factors. Formed in floats,
@@ -435,12 +449,13 @@ def _gram_residual_norms(G, m, s, Vt):
     """(||R||_2, ||R||_F) of R = S - Q W Vt, for the (Q, W, Vt, s) of
     _subspace_factors(S, C, k), from the Gram matrix G = S^T S of the m x n
     S, with max |S| in [1/2, 1), without forming R; None when
-    _lambda_max_upper certifies no bound. G is overwritten.
+    _lambda_max_upper certifies no bound. G is kept: the update runs on a
+    copy.
 
     With B = Q^T S and B_k = W Vt its truncated SVD (singular values s),
     R^T R = S^T S - B_k^T B_k, since Q^T Q = I and B_k's rows are orthogonal
     to those of B - B_k. So R^T R = G - Vt^T diag(s^2) Vt, a rank-k update
-    of G in its own buffer (dsyrk), and ||R||_F^2 = tr(G) - sum s^2. The
+    of G in the copy's buffer (dsyrk), and ||R||_F^2 = tr(G) - sum s^2. The
     computed G is within gamma_m || |S|^T |S| ||_2 <= gamma_m tr(S^T S) of
     S^T S (Higham, Thm. 3.5 and || |S| ||_2 <= ||S||_F), and the update adds
     at most gamma_{k+1} (|| |G| ||_2 + sum s^2) <= 2 gamma_{k+1} tr(G);
@@ -455,6 +470,7 @@ def _gram_residual_norms(G, m, s, Vt):
     from scipy.linalg.blas import dsyrk
 
     t = float(np.trace(G))
+    G = G.copy()
     dsyrk(-1.0, Vt.T * s, beta=1.0, c=G.T, lower=1, overwrite_c=1)
     lam = _lambda_max_upper(G, _gamma(m + 2 * s.size + 4) * t)
     if lam is None:
@@ -500,12 +516,6 @@ def pseudo_inverse(A):
     if f.rank == 0:
         return np.zeros((A.shape[1], A.shape[0]))
     return (f.V / f.singular_values) @ f.U.T
-
-
-def orth_basis(C):
-    """Orthonormal basis of the column space (rank-aware); m x rank."""
-    f = svd(C)
-    return f.U
 
 
 def apply_plan_columns(A, plan):

@@ -134,8 +134,8 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
     holds w.p. >= 1-delta. srht: uniform sampling of Hadamard-mixed rows
     (no U_Y) with r = ceil(72(n+1) ln(2(n+1)/delta) log2(40(n+1)m)/eps^2),
     holds w.p. >= 0.95-delta. r_override replaces the formula count: a
-    barrier walk of exactly that many steps, whose kappa is reported but
-    not checked (meant for desk-scale experiments).
+    barrier walk of exactly that many steps, at most 16 m, whose kappa is
+    reported but not checked (meant for desk-scale experiments).
     """
     if not isinstance(p, RegressionProblem):
         raise ArgumentError("build_coreset expects a RegressionProblem")
@@ -156,6 +156,9 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         raise ArgumentError(
             f"coreset larger than data: r={r} > m={m} "
             "(shrink eps/delta or pass r_override)")
+    if method == "barrier" and r_override is not None and r > _MAX_WALK_PER_ROW * m:
+        raise ArgumentError(f"barrier walk of r={r} steps exceeds "
+                            f"{_MAX_WALK_PER_ROW} m = {_MAX_WALK_PER_ROW * m}")
     kappa = steps = None
     if method == "srht":
         C, b_c, plan = srht_rows(p.A, p.b, r,

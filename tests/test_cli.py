@@ -281,10 +281,9 @@ def test_id_and_sketch_svd_baselines_take_no_full_size_svd(capsys,
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     for argv in (["id", "-k", "3"],
-                 ["sketch-svd", "--mode", "spectral", "-k", "3"],
-                 ["sketch-svd", "--mode", "frobenius", "-k", "3"]):
-        code, rep = run_cli(capsys, *argv, "--trials", "2",
-                            "--synthetic", "lowrank:60,40,3,0.1")
+                 ["sketch-svd", "--mode", "spectral", "-k", "3", "--trials", "2"],
+                 ["sketch-svd", "--mode", "frobenius", "-k", "3", "--trials", "2"]):
+        code, rep = run_cli(capsys, *argv, "--synthetic", "lowrank:60,40,3,0.1")
         assert code == 0, rep
         assert rep["results"]["baseline"] > 0.0
     assert calls == []
@@ -292,14 +291,13 @@ def test_id_and_sketch_svd_baselines_take_no_full_size_svd(capsys,
 
 def test_id_baseline_runs_no_dense_eigensolver(capsys, monkeypatch):
     # on a tall, full-rank input the baseline is the certified upper end
-    # read from the Gram matrix top_k builds; the one dsyevr call left is
-    # spectral_norm's, measuring the formed A - C X
+    # read from the problem's Gram matrix; the one dsyevr call left is
+    # _norms's, measuring the formed A - C X
     import matsketch.cli as cli_module
     from matsketch import linalg
 
     measuring, dense = [], []
-    eigenvalues, spectral_norm = (linalg._gram_eigenvalues,
-                                  cli_module.spectral_norm)
+    eigenvalues, norms = linalg._gram_eigenvalues, cli_module._norms
 
     def counting(*args, **kwargs):
         dense.append(bool(measuring))
@@ -308,17 +306,79 @@ def test_id_baseline_runs_no_dense_eigensolver(capsys, monkeypatch):
     def measure(M):
         measuring.append(True)
         try:
-            return spectral_norm(M)
+            return norms(M)
         finally:
             measuring.pop()
 
     monkeypatch.setattr(linalg, "_gram_eigenvalues", counting)
-    monkeypatch.setattr(cli_module, "spectral_norm", measure)
+    monkeypatch.setattr(cli_module, "_norms", measure)
     code, rep = run_cli(capsys, "id", "-k", "3",
                         "--synthetic", "lowrank:60,40,3,0.1")
     assert code == 0, rep
     assert rep["results"]["baseline"] > 0.0
     assert dense == [True]
+
+
+def test_id_has_no_trials_flag():
+    # id is deterministic given --seed; it took --trials and ignored it
+    with pytest.raises(SystemExit) as exc:
+        main(["id", "-k", "3", "--trials", "5",
+              "--synthetic", "lowrank:50,30,3,0.05"])
+    assert exc.value.code == 2
+
+
+def test_coreset_barrier_r_past_16_m_steps_exits_2(capsys, monkeypatch):
+    from matsketch import regression
+
+    def no_walk(*args):
+        raise AssertionError("a barrier walk was started")
+
+    monkeypatch.setattr(regression, "_barrier_core", no_walk)
+    code, rep = run_cli(capsys, "coreset", "--method", "barrier", "--eps",
+                        "0.5", "-r", "641", *_CORESET_INPUT)  # 16 m = 640
+    assert code == 2
+    assert rep["error"]["type"] == "ArgumentError"
+
+
+# the determinism_hash each run had when every trial factored A again
+_ONE_FACTORIZATION = {
+    "cx-frobenius-fast": (
+        ["cx", "frobenius", "--mode", "fast", "-k", "3", "-r", "10"],
+        "2c7c7d705bb790820f1ed65ad7c5c016cd74313a1ca412c814679271d37b2eb3"),
+    "cx-spectral-fast": (
+        ["cx", "spectral", "--mode", "fast", "-k", "3", "-r", "10"],
+        "8362f66f9050c2e285f97078debf5b3fafef869276076a5dfdde83f2519cbec6"),
+    "cssp-spectral": (
+        ["cssp", "--mode", "spectral", "-k", "3"],
+        "8746b8f0fac7d3fcf4f05a5a7f7aa73b7fa5f31a24a7e568dea04071e750ad72"),
+    "cssp-frobenius": (
+        ["cssp", "--mode", "frobenius", "-k", "3"],
+        "1b498dda20fbf3a6a266d7b73273db836800872ca63a965306c31690333ee55c"),
+    "cssp-two_stage": (
+        ["cssp", "--mode", "two_stage", "-k", "3"],
+        "db4d5249393b811a1b6fd5abf984452df4458a19dd4cf09127a49ef0889ec588"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_FACTORIZATION))
+def test_trial_loops_factor_the_input_once(capsys, monkeypatch, name):
+    # one ColumnProblem serves all ten trials: one top-k Lanczos, which runs
+    # on the Gram array (a certificate's Lanczos runs on an operator)
+    import scipy.sparse.linalg as sla
+
+    argv, digest = _ONE_FACTORIZATION[name]
+    real, top_k = sla.eigsh, []
+
+    def counting(A, *args, **kwargs):
+        top_k.append(isinstance(A, np.ndarray))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", counting)
+    code, rep = run_cli(capsys, *argv, "--trials", "10", "--synthetic",
+                        "lowrank:60,40,3,0.1", "--seed", "4")
+    assert code == 0, rep
+    assert sum(top_k) == 1
+    assert rep["determinism_hash"] == digest
 
 
 @pytest.mark.parametrize("eps", ["nan", "-0.5", "0"])
@@ -477,7 +537,7 @@ def test_console_script_entry_point():
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.sparse.linalg (top_k) and scipy.optimize (NNLS) are imported on
+    # scipy.sparse.linalg (ARPACK) and scipy.optimize (NNLS) are imported on
     # first use; an eager scipy.optimize import added ~0.3 s to every start
     probe = ("import sys, matsketch.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'sparse'], "

@@ -15,7 +15,8 @@ from matsketch import (ArgumentError, barrier_dual_spectral, barrier_single,
 from matsketch import cx as cx_module
 from matsketch import linalg
 from matsketch.cx import _certify, _check_kr
-from matsketch.linalg import SamplingPlan, _norms, as_matrix, pow2_scaled
+from matsketch.linalg import (ColumnProblem, SamplingPlan, _norms, as_matrix,
+                              pow2_scaled)
 from matsketch.synthetic import lowrank_plus_noise
 
 from conftest import plan_digest, rand
@@ -176,11 +177,45 @@ def test_a_is_rescaled_at_most_once(monkeypatch, name, exponent):
     assert copies <= (0 if exponent == "e=0" else 1)
 
 
+def _outputs(out):
+    """Every array and number a column-selection entry returns."""
+    if isinstance(out, tuple):  # interpolative_decomposition's (C, X, plan)
+        C, X, plan = out
+        return [C, X, plan.indices, plan.weights]
+    return [out.plan.indices, out.plan.weights, out.C,
+            *(np.float64(getattr(out, f)) for f in _FIELDS)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
+                         ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("name", list(_ENTRIES))
+def test_a_column_problem_gives_the_bits_of_its_array(name, scale):
+    # a second call on the same problem reads its kept factors
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7) * scale
+    p = ColumnProblem(A)
+    want = _outputs(_ENTRIES[name](A))
+    for _ in range(2):
+        got = _outputs(_ENTRIES[name](p))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_column_problem_keeps_a_view_and_its_gram_matrix():
+    A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
+    p = ColumnProblem(A)
+    assert np.shares_memory(p.A, A) and A.flags.writeable
+    assert not p.A.flags.writeable
+    for name, run in _ENTRIES.items():
+        run(p)
+        assert np.array_equal(p.gram, p.S.T @ p.S), name
+
+
 def test_frobenius_baseline_reads_the_residual_without_a_copy(monkeypatch):
     # E is in S's units, so ||E||_F is read off E as it stands: a rescaled
     # copy would be one more m x n array per Frobenius certificate
-    S, _ = pow2_scaled(lowrank_plus_noise(60, 40, 3, 0.1, seed=7))
-    Z, E, s, _ = linalg._top_k(S, 3)
+    p = ColumnProblem(lowrank_plus_noise(60, 40, 3, 0.1, seed=7))
+    E = p.residual(3)
     assert linalg._pow2_exponent(E) != 0  # so a rescale would copy E
     want = linalg.frobenius_norm(E)
     rescaled = []
@@ -191,7 +226,7 @@ def test_frobenius_baseline_reads_the_residual_without_a_copy(monkeypatch):
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "ldexp", recording)
-    got = linalg._baseline((Z, E, s), "frobenius")
+    got = p.baseline(3, "frobenius")
     assert E.shape not in rescaled
     assert got == want > 0.0
 
@@ -213,7 +248,7 @@ def _count_full_svds(monkeypatch, shape):
 
 @pytest.mark.parametrize("name", list(_RUNS))
 def test_certification_takes_no_extra_full_svd(monkeypatch, name):
-    # baselines come from the residual of a top-k subspace (linalg.top_k);
+    # baselines come from the residual of a top-k subspace (ColumnProblem);
     # on this full-column-rank, tall input deterministic cx_spectral takes
     # its upper set from the complement of that subspace too
     A = lowrank_plus_noise(60, 40, 3, 0.1, seed=7)
@@ -242,10 +277,9 @@ def _fit_norms(A, C, k):
     return _norms(A - approx)
 
 
-def _certify_plain(A, k, plan, G=None):
-    S, e = pow2_scaled(A)
-    return _certify(A, S, e, k, plan, "spectral", 1.0, "",
-                    math.ldexp(1.0, -e), G)
+def _certify_plain(A, k, plan):
+    p = ColumnProblem(A)
+    return _certify(p, k, plan, "spectral", 1.0, "", math.ldexp(1.0, -p.e))
 
 
 def _fallback_inputs():
@@ -268,8 +302,6 @@ def test_certify_falls_back_to_the_residual(monkeypatch, case):
 
     A = _fallback_inputs().get(case, _fallback_inputs()["full-rank"])
     plan = SamplingPlan(A.shape[1], np.arange(8), 1.0)
-    S, _ = pow2_scaled(A)
-    G = S.T @ S if A.shape[0] >= A.shape[1] else None
     if case == "cholesky":
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
                             lambda a, **kw: (a, 1))
@@ -288,7 +320,7 @@ def test_certify_falls_back_to_the_residual(monkeypatch, case):
         return out
 
     monkeypatch.setattr(cx_module, "_gram_residual_norms", spy)
-    res = _certify_plain(A, 3, plan, G)
+    res = _certify_plain(A, 3, plan)
     assert declined == ([] if case in ("wide", "zero") else [True])
     assert (res.rank_k_error_spectral, res.rank_k_error_frobenius) == \
         _fit_norms(A, res.C, 3)
@@ -331,9 +363,8 @@ def test_certify_validates_a_at_most_once(monkeypatch):
         seen.append(np.shape(M))
         return real(M, *args, **kwargs)
 
-    for module in (linalg, cx_module):
-        monkeypatch.setattr(module, "as_matrix", counting)
-    _certify(A, *pow2_scaled(A), 3, plan, "spectral", 1.0, "")
+    monkeypatch.setattr(linalg, "as_matrix", counting)  # cx calls none
+    _certify(ColumnProblem(A), 3, plan, "spectral", 1.0, "")
     assert seen.count(A.shape) <= 1
 
 
@@ -355,9 +386,9 @@ def _ref_cx_spectral_deterministic(A, k, r):
         plan = barrier_single(f.V, r)
         const, sigma = 1.0 + 1.0 / shrink, 0.0
     formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
-    S, e = pow2_scaled(A)
-    return _certify(A, S, e, k, plan, "spectral", math.sqrt(2.0) * const,
-                    formula, math.ldexp(sigma, -e))
+    p = ColumnProblem(A)
+    return _certify(p, k, plan, "spectral", math.sqrt(2.0) * const,
+                    formula, math.ldexp(sigma, -p.e))
 
 
 _FIELDS = ("rank_k_error_spectral", "rank_k_error_frobenius", "bound_value",

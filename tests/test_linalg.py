@@ -1,5 +1,6 @@
 """Core container, SVD, plan application, restricted projection, boosting."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,10 +10,11 @@ from matsketch import (ArgumentError, NumericError, SamplingPlan,
                        apply_plan_columns, apply_plan_rows,
                        best_rank_k_in_subspace, boost_best, cx_frobenius,
                        lower_bound_instance, pseudo_inverse, svd)
-from matsketch.linalg import (_baseline, _gram_residual_norms,
-                              _lambda_max_upper, _subspace_factors,
+from matsketch import linalg
+from matsketch.linalg import (ColumnProblem, _gram_residual_norms,
+                              _lambda_max_upper, _norms, _subspace_factors,
                               frobenius_norm, pow2_scaled, rank_cutoff,
-                              singular_values, spectral_norm, top_k)
+                              singular_values)
 from matsketch.synthetic import lowrank_plus_noise, random_orthonormal
 
 from conftest import rand
@@ -99,7 +101,7 @@ def test_spectral_norm_matches_svd_norm(name, scale):
     # the top eigenvalue alone (LAPACK dsyevr) of the smaller Gram matrix
     M = _norm_cases()[name]
     want = np.linalg.svd(M, compute_uv=False)[0]
-    got = spectral_norm(M * scale)
+    got = _norms(M * scale)[0]
     assert got / scale == pytest.approx(want, rel=1e-14, abs=0)
 
 
@@ -111,7 +113,7 @@ def test_spectral_norm_lapack_failure_is_a_numeric_error(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
     with pytest.raises(NumericError, match="eigensolver"):
-        spectral_norm(_norm_cases()["tall"])
+        _norms(_norm_cases()["tall"])
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
@@ -125,12 +127,24 @@ def test_frobenius_norm_is_exact_under_power_of_two_scaling(name, scale):
 
 def test_norms_of_a_zero_matrix_are_zero():
     for shape in [(3, 2), (2, 3), (1, 1)]:
-        assert spectral_norm(np.zeros(shape)) == 0.0
+        assert _norms(np.zeros(shape))[0] == 0.0
         assert frobenius_norm(np.zeros(shape)) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# top_k and the baselines read from its residual
+# ColumnProblem.top and the baselines read from its residual
+
+
+def top_k(A, k):
+    """(Z, E, s) of ColumnProblem(A).top and .residual at k, E and s in A's
+    units, and the problem."""
+    p = ColumnProblem(A)
+    Z, s = p.top(k)
+    return Z, np.ldexp(p.residual(k), p.e), np.ldexp(s, p.e), p
+
+
+def _baseline(p, k, norm):
+    return math.ldexp(p.baseline(k, norm), p.e)
 
 
 def _top_k_cases():
@@ -149,16 +163,26 @@ def _top_k_cases():
 
 
 @pytest.mark.parametrize("name", sorted(_top_k_cases()))
-def test_top_k_baselines_match_the_svd(name):
+def test_top_k_baselines_match_the_svd(monkeypatch, name):
     A, k = _top_k_cases()[name]
     s = np.linalg.svd(A, compute_uv=False)
-    Z, E, ritz = top_k(A, k)
+    Z, E, ritz, p = top_k(A, k)
     assert Z.shape == (A.shape[1], k)
     assert np.abs(Z.T @ Z - np.eye(k)).max() <= 1e-14
     np.testing.assert_allclose(E, A - A @ Z @ Z.T, rtol=0, atol=1e-14 * s[0])
     np.testing.assert_allclose(ritz, s[:k], rtol=1e-12, atol=1e-14 * s[0])
+    # where m >= n the spectral baseline is the certified upper end read
+    # from A's Gram matrix, at most 1e-10 above sigma_{k+1}
+    got = _baseline(p, k, "spectral")
+    if s[k] <= rank_cutoff(s, A.shape):
+        assert got == 0.0
+    elif A.shape[0] >= A.shape[1]:
+        assert s[k] <= got <= s[k] * (1 + 1e-10)
+    # without that certificate, ||E||_2 is read off E itself
+    monkeypatch.setattr(linalg, "_gram_projected_norm", lambda *args: None)
+    p = top_k(A, k)[3]
     for norm, want in (("spectral", s[k]), ("frobenius", np.linalg.norm(s[k:]))):
-        got = _baseline((Z, E, ritz), norm)
+        got = _baseline(p, k, norm)
         if want <= rank_cutoff(s, A.shape):
             assert got == 0.0, norm
         else:
@@ -168,17 +192,17 @@ def test_top_k_baselines_match_the_svd(name):
 @pytest.mark.parametrize("name", sorted(_top_k_cases()))
 def test_top_k_repeats_bit_for_bit(name):
     A, k = _top_k_cases()[name]
-    first = top_k(A, k)
+    first = top_k(A, k)[:3]
     for _ in range(2):
-        for a, b in zip(top_k(A, k), first):
+        for a, b in zip(top_k(A, k)[:3], first):
             assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("j", [600, -600])
 def test_top_k_is_exact_under_power_of_two_scaling(j):
     A, k = _top_k_cases()["lowrank"]
-    Z, E, s = top_k(A, k)
-    Zj, Ej, sj = top_k(np.ldexp(A, j), k)
+    Z, E, s, _ = top_k(A, k)
+    Zj, Ej, sj, _ = top_k(np.ldexp(A, j), k)
     assert np.array_equal(Zj, Z)
     assert np.array_equal(Ej, np.ldexp(E, j))
     assert np.array_equal(sj, np.ldexp(s, j))
@@ -186,19 +210,19 @@ def test_top_k_is_exact_under_power_of_two_scaling(j):
 
 def test_top_k_degenerate_inputs():
     # an all-zero A made ARPACK fail with an untyped error -9
-    Z, E, s = top_k(np.zeros((30, 20)), 3)
+    Z, E, s, p = top_k(np.zeros((30, 20)), 3)
     assert np.array_equal(Z.T @ Z, np.eye(3))
     assert not E.any() and not s.any()
-    assert _baseline((Z, E, s), "spectral") == 0.0
+    assert _baseline(p, 3, "spectral") == 0.0
     # rank 3 < k: the baseline is exactly zero, not rounding noise
     g = rand(43)
     A = g.normal(size=(40, 3)) @ g.normal(size=(3, 30))
     for k in (3, 5, 29, 30):  # k = min(m, n) = 30 takes the dense SVD
-        Z, E, s = top_k(A, k)
+        Z, E, s, p = top_k(A, k)
         assert np.abs(Z.T @ Z - np.eye(k)).max() <= 1e-14
         assert np.sum(s > rank_cutoff(s, A.shape)) == 3
         for norm in ("spectral", "frobenius"):
-            assert _baseline((Z, E, s), norm) == 0.0
+            assert _baseline(p, k, norm) == 0.0
     with pytest.raises(ArgumentError):
         top_k(A, 31)
     with pytest.raises(ArgumentError):

@@ -332,6 +332,29 @@ def test_r_override_walks_exactly_and_reports_kappa(monkeypatch):
     assert (c.kappa, c.steps, c.plan.note) == (1e6, 40, "")
 
 
+class _NoWalk(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("ignore:barrier walk")
+def test_r_override_past_16_m_steps_is_refused_before_any_walk(monkeypatch):
+    # all m rows at weight 1 answer at once, so a longer walk is only cost
+    p = _problem(300, 2, 13)
+    started = []
+
+    def recording(V, r, upper):
+        started.append(r)
+        raise _NoWalk
+
+    monkeypatch.setattr(regression, "_barrier_core", recording)
+    with pytest.raises(ArgumentError, match="r=4801 steps exceeds 16 m = 4800"):
+        build_coreset(p, 0.1, method="barrier", r_override=4801)
+    assert started == []
+    with pytest.raises(_NoWalk):  # 16 m steps are still walked
+        build_coreset(p, 0.1, method="barrier", r_override=4800)
+    assert started == [4800]
+
+
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
 
