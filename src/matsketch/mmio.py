@@ -1,16 +1,30 @@
-"""Matrix file I/O: MatrixMarket (array and coordinate, real general)
+r"""Matrix file I/O: MatrixMarket (array and coordinate, real general)
 and headerless CSV.
 
-The array and CSV parsers convert their whole body at once: one split
-into tokens, one pass of Python's ``float`` into a NumPy array, one
-vectorized finiteness check. Only when that fails (a bad token, a
-non-finite value, a wrong width or count) is the body rescanned line by
-line, which reports the first error in file order with its line number.
+Array and CSV bodies are read in up to three tiers:
+
+1. A body in a strict grammar (one token per line, or one row of
+   comma-separated tokens per line, every token matching
+   ``-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?`` and every line ending in
+   ``\n``) goes to scipy's C++ reader, which rounds correctly, so it
+   gives the bits of Python's ``float``; the sign of a zero is taken
+   from its token. What ``save_matrix`` writes of a finite matrix is in
+   this grammar.
+2. Any other body, or one with a non-finite value, is converted whole:
+   one split into tokens, one pass of Python's ``float`` into a NumPy
+   array, one vectorized finiteness check.
+3. Only when that fails (a bad token, a non-finite value, a wrong width
+   or count) is the body rescanned line by line, which reports the first
+   error in file order with its line number.
+
 Coordinate files are read line by line. The accepted token set is
-Python's ``float``/``int``, not a library reader's.
+Python's ``float``/``int``, not a library reader's: the C++ reader sees
+only bodies whose every token ``float`` reads to the same value.
 """
 
+import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +61,48 @@ def _reals(tokens):
     return v if np.isfinite(v).all() else None
 
 
+# A real in the strict grammar. Outside it the C++ reader drops the rest of
+# a line without a word ("1_0" reads 1.0, "1.2.3" 1.2, "0x10" 0.0).
+_TOKEN = rb"-?+(?:\d++\.?+\d*+|\.\d++)(?:[eE][-+]?+\d++)?+"
+_ONE_PER_LINE = re.compile(rb"(?:%s\n)*+" % _TOKEN)
+
+
+def _csv_rows(width):
+    """The strict grammar of CSV rows of `width` fields."""
+    return re.compile(rb"(?:%s(?:,%s){%d}\n)*+" % (_TOKEN, _TOKEN, width - 1))
+
+
+def _strict_reals(body, grammar, count):
+    """The `count` reals of a body in the strict grammar, in file order, read
+    by scipy's C++ reader; None unless the whole body matches `grammar` and
+    every value is finite. Inside the grammar that reader and ``float`` give
+    the same bits, except that it reads -0.0 and -1e-400 as +0.0."""
+    head = f"{_MM_MAGIC} matrix array real general\n{count} 1\n"
+    try:
+        src = (head + body).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if not grammar.fullmatch(src, len(head)):
+        return None
+    src = src.replace(b",", b"\n")  # a CSV row's fields, one to a line
+    import scipy.io  # ~35 ms to import; only this path needs it
+
+    try:
+        v = scipy.io.mmread(io.BytesIO(src)).ravel()
+    except ValueError:
+        return None
+    if not np.isfinite(v).all():
+        return None
+    zeros = np.flatnonzero(v == 0)
+    if zeros.size:
+        # value i starts after the (i + 2)-th line break; a zero is negative
+        # exactly when its token starts with "-"
+        buf = np.frombuffer(src, np.uint8)
+        starts = np.flatnonzero(buf == ord("\n"))[1:-1] + 1
+        v[zeros[buf[starts[zeros]] == ord("-")]] = -0.0
+    return v
+
+
 def _is_data(ln):
     """A line that is neither blank nor a % comment."""
     return ln.strip() and not ln.lstrip().startswith("%")
@@ -76,6 +132,13 @@ def _data_lines(text, k):
     """(line number, line) of every data line after line index k."""
     return [(i + 1, ln) for i, ln in enumerate(text.splitlines())
             if i > k and _is_data(ln)]
+
+
+def _body_start(text, head):
+    """Offset in text of the line after the head, splitting lines as _head
+    does. Only a prefix is split: it holds every head line and its break."""
+    cut = sum(map(len, head)) + 2 * len(head)
+    return sum(map(len, text[:cut].splitlines(keepends=True)[:len(head)]))
 
 
 def _body_tokens(text, head):
@@ -119,7 +182,12 @@ def _parse_matrixmarket(text, path):
         n = _int(size_toks[1], path, size_no, "column count")
         if m < 1 or n < 1:
             raise DataFormatError(f"{path}:{size_no}: dimensions must be positive")
-        v = _reals(_body_tokens(text, head))
+        start = _body_start(text, head)
+        v = None
+        if text.count("\n", start) == m * n:
+            v = _strict_reals(text[start:], _ONE_PER_LINE, m * n)
+        if v is None:
+            v = _reals(_body_tokens(text, head))
         if v is None or v.size != m * n:
             return _array_by_line(text, path, k, m, n)
         # values run down each column in turn
@@ -164,6 +232,13 @@ def _array_by_line(text, path, k, m, n):
 
 
 def _parse_csv(text, path):
+    end = text.find("\n")
+    if end > 0:
+        width = text.count(",", 0, end) + 1
+        count = text.count("\n")
+        v = _strict_reals(text, _csv_rows(width), count * width)
+        if v is not None:
+            return v.reshape((count, width))
     rows = list(filter(str.strip, text.splitlines()))
     if rows:
         commas = rows[0].count(",")
@@ -219,12 +294,13 @@ def save_matrix(path, A, format="matrixmarket"):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
     if format == "matrixmarket":
+        # values run down each column in turn, a column's lines at a time
         out = [f"{_MM_MAGIC} matrix array real general", f"{m} {n}"]
-        out.extend(repr(float(A[i, j])) for j in range(n) for i in range(m))
-        Path(path).write_text("\n".join(out) + "\n")
+        out.extend("\n".join(map(repr, col.tolist()))
+                   for col in A.T if col.size)
     elif format == "csv":
-        out = [",".join(repr(float(v)) for v in row) for row in A]
-        Path(path).write_text("\n".join(out) + "\n")
+        out = [",".join(map(repr, row.tolist())) for row in A]
     else:
         raise ArgumentError(
             f"unknown format {format!r} (expected matrixmarket|csv)")
+    Path(path).write_text("\n".join(out) + "\n")

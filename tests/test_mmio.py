@@ -1,6 +1,7 @@
 """Matrix file round-trips and malformed-input reporting."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -67,11 +68,13 @@ def test_format_autodetect(tmp_path):
 def test_round_trip_is_bit_identical(tmp_path, fmt):
     A = rand(7).normal(size=(5, 3)) * np.pi
     A[0, 0] = 0.1  # not representable exactly; repr must preserve the bits
+    # == would take -0.0 for 0.0: the bytes tell them apart
+    A[1:, 0] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
     p = tmp_path / "rt.dat"
     save_matrix(p, A, format=fmt)
     B = load_matrix(p, format=fmt)
     assert B.shape == A.shape
-    assert np.all(A == B)
+    assert B.tobytes() == A.tobytes()
 
 
 def test_save_vector_becomes_row(tmp_path):
@@ -427,3 +430,86 @@ def test_well_formed_files_skip_the_per_line_rescan(tmp_path):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
             assert load_matrix(tmp_path / name).shape == (2, 1 if name == "a.mtx" else 2)
+
+
+# ---------------------------------------------------------------------------
+# The strict path: bodies that scipy's C++ reader reads in place of float.
+
+_STRICT_TOKEN = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+
+_strict_tokens = st.one_of(
+    st.text(alphabet="0123456789.eE+-", min_size=1, max_size=12),
+    st.floats().map(repr),
+    st.sampled_from([
+        "1.2.3", "1e", "1e5.5", "-", ".", "-0", "-0.0", "-.0e9", "-1e-400",
+        "1e-400", "1e400", "9007199254740993", "2.4703282292062328e-324",
+        "2.4703282292062327e-324", "1.7976931348623159e308", "7" * 400,
+        "-0." + "0" * 399 + "1", "9" * 400 + "e-700", "1" * 400 + "e-100"]))
+
+
+def _by_float(toks):
+    """float's reading of the tokens; None unless every one is in the strict
+    grammar and finite."""
+    if not all(_STRICT_TOKEN.fullmatch(t) for t in toks):
+        return None
+    v = np.array([float(t) for t in toks])
+    return v if np.isfinite(v).all() else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(toks=st.lists(_strict_tokens, min_size=1, max_size=8),
+       width=st.integers(1, 3))
+def test_strict_reader_gives_the_bits_of_float_or_declines(toks, width):
+    rows = [toks[i:i + width] for i in range(0, len(toks) - width + 1, width)]
+    for body, grammar, used in [
+            ("".join(t + "\n" for t in toks), mmio._ONE_PER_LINE, toks),
+            ("".join(",".join(r) + "\n" for r in rows), mmio._csv_rows(width),
+             [t for r in rows for t in r])]:
+        if not used:
+            continue
+        want = _by_float(used)
+        got = mmio._strict_reals(body, grammar, len(used))
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["matrixmarket", "csv"])
+def test_saved_files_skip_the_python_conversion(tmp_path, fmt):
+    A = rand(3).normal(size=(40, 7))
+    A[0] = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e-300, -1.0]
+    p = tmp_path / "s.dat"
+    save_matrix(p, A, format=fmt)
+
+    def python_path(*args):
+        raise AssertionError("Python float conversion ran on a saved file")
+
+    with mock.patch.multiple(mmio, _reals=python_path, _array_by_line=python_path,
+                             _csv_by_line=python_path):
+        B = load_matrix(p, format=fmt)
+    assert B.shape == A.shape and B.flags.c_contiguous
+    assert B.tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("a.mtx", "%%MatrixMarket matrix array real general\n2 1\n1\n1e400\n", 4),
+    ("m.csv", "1,2\n3,-1e400\n", 2),
+])
+def test_an_overflow_in_the_strict_grammar_names_its_line(tmp_path, name, text, where):
+    p = tmp_path / name
+    p.write_text(text)
+    tok = text.split()[-1].split(",")[-1]
+    with pytest.raises(DataFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}:{where}: non-finite value: {tok!r}"
+
+
+def test_a_scipy_error_takes_the_float_path(tmp_path):
+    p = tmp_path / "a.mtx"
+    p.write_text("%%MatrixMarket matrix array real general\n1 2\n-0\n2.5\n")
+    import scipy.io
+
+    with mock.patch.object(scipy.io, "mmread", side_effect=ValueError("bad")):
+        B = load_matrix(p)
+    assert B.tobytes() == np.array([[-0.0, 2.5]]).tobytes()
