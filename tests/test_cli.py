@@ -505,6 +505,23 @@ def test_exit_4_on_malformed_file(capsys, tmp_path):
     assert err["exit_code"] == 4
 
 
+@pytest.mark.parametrize("name, body, line", [
+    ("a.mtx", b"%%MatrixMarket matrix array real general\n2 2\n1\n\xff\n3\n4\n", 4),
+    ("m.csv", b"1,2\n3,\xe9\n", 2),
+])
+def test_exit_4_on_undecodable_file(capsys, tmp_path, name, body, line):
+    bad = tmp_path / name
+    bad.write_bytes(body)
+    code = main(["cx", "frobenius", "-k", "1", "-r", "2", "--in", str(bad)])
+    out, stderr = capsys.readouterr()
+    assert code == 4
+    assert stderr == ""  # a JSON report, no traceback
+    err = json.loads(out)
+    assert err["error"]["type"] == "DataFormatError"
+    assert err["error"]["message"].startswith(f"{bad}:{line}: ")
+    assert err["exit_code"] == 4
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

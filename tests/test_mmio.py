@@ -1,7 +1,10 @@
 """Matrix file round-trips and malformed-input reporting."""
 
+import codecs
+import locale
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -124,6 +127,57 @@ def test_unknown_format_arguments(tmp_path):
 def test_missing_file_is_a_data_error(tmp_path):
     with pytest.raises(DataFormatError, match="cannot read"):
         load_matrix(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("name, body, line, byte", [
+    ("a.mtx", b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n", 4, "0xff"),
+    ("m.csv", b"1,2\r\n3,4\r5,\xe9\n", 3, "0xe9"),
+    ("m.csv", b"\xe9", 1, "0xe9"),
+])
+def test_undecodable_bytes_are_a_data_error_naming_their_line(tmp_path, name, body,
+                                                               line, byte):
+    if codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8":
+        pytest.skip("the bytes are undecodable only in UTF-8")
+    p = tmp_path / name
+    p.write_bytes(body)
+    with pytest.raises(DataFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}:{line}: not utf-8 text: byte {byte}"
+
+
+@pytest.mark.parametrize("fmt", ["matrixmarket", "csv"])
+@pytest.mark.parametrize("A", [
+    np.zeros((0, 3)), np.zeros((3, 0)), np.array([]),
+    [[1.0, np.inf]], [[-np.inf, 2.0]], [[0.0], [np.nan]],
+], ids=["0x3", "3x0", "empty", "inf", "-inf", "nan"])
+def test_save_refuses_what_load_cannot_read_back(tmp_path, fmt, A):
+    p = tmp_path / "m.dat"
+    with pytest.raises(ArgumentError):
+        save_matrix(p, A, format=fmt)
+    assert not p.exists()
+
+
+def _traced_peak(f, *args, **kwargs):
+    """f's result and the peak of the memory that tracemalloc saw it take."""
+    tracemalloc.start()
+    try:
+        return f(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt, shape", [("matrixmarket", (800, 500)), ("csv", (4000, 60))])
+def test_load_holds_the_file_once_and_save_streams(tmp_path, fmt, shape):
+    A = rand(9).normal(size=shape)
+    p = tmp_path / "m.dat"
+    _, save_peak = _traced_peak(save_matrix, p, A, format=fmt)
+    load_matrix(p, format=fmt)  # lazy imports and compiled grammars first
+    B, load_peak = _traced_peak(load_matrix, p, format=fmt)
+    size = p.stat().st_size
+    assert B.tobytes() == A.tobytes()
+    # the load holds the file's bytes and the result, the save a line at a time
+    assert load_peak <= 2 * size
+    assert save_peak <= 0.1 * size
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +522,15 @@ def test_strict_reader_gives_the_bits_of_float_or_declines(toks, width):
         if not used:
             continue
         want = _by_float(used)
-        got = mmio._strict_reals(body, grammar, len(used))
+        # the body at an offset, after bytes outside the grammar; values run
+        # down the columns of the shape, so got.T holds them in file order
+        data = b"x,-\n" + body.encode()
+        height = 2 if len(used) % 2 == 0 else 1
+        got = mmio._strict_reals(data, 4, grammar, (height, len(used) // height))
         if want is None:
             assert got is None
         else:
-            assert got is not None and got.tobytes() == want.tobytes()
+            assert got is not None and got.T.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fmt", ["matrixmarket", "csv"])
@@ -490,6 +548,34 @@ def test_saved_files_skip_the_python_conversion(tmp_path, fmt):
         B = load_matrix(p, format=fmt)
     assert B.shape == A.shape and B.flags.c_contiguous
     assert B.tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("fmt, ref", [("matrixmarket", _ref_parse_matrixmarket),
+                                      ("csv", _ref_parse_csv)])
+def test_crlf_line_ends_stay_on_the_strict_path(tmp_path, fmt, ref):
+    A = rand(4).normal(size=(30, 4))
+    A[0, :3] = [-0.0, 5e-324, 0.0]
+    p = tmp_path / "s.dat"
+    save_matrix(p, A, format=fmt)
+    p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+
+    def python_path(*args):
+        raise AssertionError("Python float conversion ran on a CRLF file")
+
+    want = _outcome(ref, p.read_text(), p)
+    with mock.patch.multiple(mmio, _reals=python_path, _array_by_line=python_path,
+                             _csv_by_line=python_path):
+        assert _outcome(load_matrix, p, fmt) == want
+    assert want[-1] == A.tobytes()
+
+
+def test_a_non_ascii_comment_loads_as_the_reference(tmp_path):
+    p = tmp_path / "a.mtx"
+    p.write_text("%%MatrixMarket matrix array real general\n% caf\u00e9 \u00bd\n"
+                 "2 2\n-0\n5e-324\n0.1\n-1e-400\n")
+    got = _outcome(load_matrix, p)
+    assert got == _outcome(_ref_parse_matrixmarket, p.read_text(), p)
+    assert got[-1] == np.array([[-0.0, 0.1], [5e-324, -0.0]]).tobytes()
 
 
 @pytest.mark.parametrize("name, text, where", [
