@@ -2,17 +2,20 @@ r"""Matrix file I/O: MatrixMarket (array and coordinate, real general)
 and headerless CSV.
 
 A file is read into memory once, as bytes, with its line ends translated
-as ``Path.read_text()`` translates them. An ASCII file is decoded only
-where it is needed: its head comes from a decoded prefix. Array and CSV
-bodies are then read in up to three tiers:
+as ``Path.read_text()`` translates them (a copy, made only when the file
+holds a ``\r``). An ASCII file is decoded only where it is needed: its
+head comes from a decoded prefix. Array and CSV bodies are then read in
+up to three tiers:
 
 1. An ASCII body in a strict grammar (one token per line, or one row of
    comma-separated tokens per line, every token matching
    ``-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?`` and every line ending in
    ``\n``) is checked in place and streamed to scipy's C++ reader a chunk
-   at a time. That reader rounds correctly, so it gives the bits of
-   Python's ``float``; the sign of a zero is taken from its token. What
-   ``save_matrix`` writes is in this grammar.
+   at a time, so Python holds the bytes and the result. That reader
+   rounds correctly, so it gives the bits of Python's ``float``; the
+   sign of a zero is taken from its token, by a scan of the whole body
+   that runs only when the result holds a zero. What ``save_matrix``
+   writes is in this grammar.
 2. Any other body, or one with a non-finite value, is decoded in full and
    converted whole: one split into tokens, one pass of Python's ``float``
    into a NumPy array, one vectorized finiteness check.
@@ -152,20 +155,12 @@ def _sign_zeros(v, data, start):
     """Negate each zero of v whose token in data[start:] starts with "-"."""
     if np.count_nonzero(v) == v.size:
         return
-    vt = v.T.flat  # file order is the C order of v.T
-    buf = np.frombuffer(data, np.uint8)
-    if vt[0] == 0 and buf[start] == ord("-"):
-        vt[0] = -0.0
-    # value i + 1 starts one past the i-th line break or comma; they are
-    # found a chunk at a time, so no array spans the whole body
-    i = 1
-    for a in range(start, len(data), _CHUNK):
-        c = buf[a:a + _CHUNK]
-        ends = np.flatnonzero((c == ord("\n")) | (c == ord(",")))
-        firsts = ends[:v.size - i] + (a + 1)  # not past the last value
-        neg = (vt[i:i + firsts.size] == 0) & (buf[firsts] == ord("-"))
-        vt[np.flatnonzero(neg) + i] = -0.0
-        i += firsts.size
+    zeros = np.flatnonzero(v.T == 0)  # file order is the C order of v.T
+    buf = np.frombuffer(data, np.uint8)[start:]
+    # value i > 0 starts one past the i-th line break or comma
+    seps = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")))
+    firsts = np.concatenate(([0], seps[:v.size - 1] + 1))
+    v.T.flat[zeros[buf[firsts[zeros]] == ord("-")]] = -0.0
 
 
 def _is_data(ln):

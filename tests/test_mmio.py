@@ -175,7 +175,8 @@ def test_load_holds_the_file_once_and_save_streams(tmp_path, fmt, shape):
     B, load_peak = _traced_peak(load_matrix, p, format=fmt)
     size = p.stat().st_size
     assert B.tobytes() == A.tobytes()
-    # the load holds the file's bytes and the result, the save a line at a time
+    # the load holds the file's bytes and the result, the save a line at a
+    # time; tracemalloc does not count the C++ reader's own chunk buffers
     assert load_peak <= 2 * size
     assert save_peak <= 0.1 * size
 
@@ -510,6 +511,11 @@ def _by_float(toks):
     return v if np.isfinite(v).all() else None
 
 
+# Bodies are handed to the C++ reader in chunks of mmio._CHUNK bytes; 3-byte
+# chunks split tokens, line breaks and commas across many chunk boundaries.
+_CHUNKS = [mmio._CHUNK, 3]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(toks=st.lists(_strict_tokens, min_size=1, max_size=8),
        width=st.integers(1, 3))
@@ -526,11 +532,13 @@ def test_strict_reader_gives_the_bits_of_float_or_declines(toks, width):
         # down the columns of the shape, so got.T holds them in file order
         data = b"x,-\n" + body.encode()
         height = 2 if len(used) % 2 == 0 else 1
-        got = mmio._strict_reals(data, 4, grammar, (height, len(used) // height))
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None and got.T.tobytes() == want.tobytes()
+        for chunk in _CHUNKS:
+            with mock.patch.object(mmio, "_CHUNK", chunk):
+                got = mmio._strict_reals(data, 4, grammar, (height, len(used) // height))
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.T.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fmt", ["matrixmarket", "csv"])
@@ -543,11 +551,12 @@ def test_saved_files_skip_the_python_conversion(tmp_path, fmt):
     def python_path(*args):
         raise AssertionError("Python float conversion ran on a saved file")
 
-    with mock.patch.multiple(mmio, _reals=python_path, _array_by_line=python_path,
-                             _csv_by_line=python_path):
-        B = load_matrix(p, format=fmt)
-    assert B.shape == A.shape and B.flags.c_contiguous
-    assert B.tobytes() == A.tobytes()
+    for chunk in _CHUNKS:
+        with mock.patch.multiple(mmio, _reals=python_path, _array_by_line=python_path,
+                                 _csv_by_line=python_path, _CHUNK=chunk):
+            B = load_matrix(p, format=fmt)
+        assert B.shape == A.shape and B.flags.c_contiguous
+        assert B.tobytes() == A.tobytes()
 
 
 @pytest.mark.parametrize("fmt, ref", [("matrixmarket", _ref_parse_matrixmarket),
@@ -563,9 +572,10 @@ def test_crlf_line_ends_stay_on_the_strict_path(tmp_path, fmt, ref):
         raise AssertionError("Python float conversion ran on a CRLF file")
 
     want = _outcome(ref, p.read_text(), p)
-    with mock.patch.multiple(mmio, _reals=python_path, _array_by_line=python_path,
-                             _csv_by_line=python_path):
-        assert _outcome(load_matrix, p, fmt) == want
+    for chunk in _CHUNKS:
+        with mock.patch.multiple(mmio, _reals=python_path, _array_by_line=python_path,
+                                 _csv_by_line=python_path, _CHUNK=chunk):
+            assert _outcome(load_matrix, p, fmt) == want
     assert want[-1] == A.tobytes()
 
 
