@@ -208,15 +208,23 @@ def _trial_seeds(seed, trials):
     return [int(rng.derive_seed(seed, rng.TRIAL, i)) for i in range(trials)]
 
 
+def _one_trial_if(deterministic, trials, flag):
+    # a deterministic run gives the same answer on every trial
+    if deterministic and trials > 1:
+        raise ArgumentError(f"{flag} is deterministic and runs one trial, "
+                            f"got --trials {trials}")
+
+
 # ---------------------------------------------------------------- runners
 
 def _run_cx(args):
+    deterministic = args.mode == "deterministic"
+    _one_trial_if(deterministic, args.trials, "--mode deterministic")
     A, source = _load_input(args)
     p = ColumnProblem(A)
     fn = cx_spectral if args.norm == "spectral" else cx_frobenius
-    deterministic = args.mode == "deterministic"
-    trials = 1 if deterministic else args.trials
-    seeds = [args.seed] if deterministic else _trial_seeds(args.seed, trials)
+    seeds = ([args.seed] if deterministic
+             else _trial_seeds(args.seed, args.trials))
     per = []
     for s in seeds:
         res = fn(p, args.k, args.r, mode=args.mode, seed=s)
@@ -234,7 +242,7 @@ def _run_cx(args):
         "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
                   "seed": args.seed},
         "params": {"k": args.k, "r": args.r, "mode": args.mode,
-                   "norm": args.norm, "trials": trials},
+                   "norm": args.norm, "trials": args.trials},
         "results": {
             "bound_value": res.bound_value,
             "bound_formula": res.bound_formula,
@@ -336,11 +344,12 @@ def _coreset_problem(args):
 
 
 def _run_coreset(args):
+    deterministic = args.method == "barrier"
+    _one_trial_if(deterministic, args.trials, "--method barrier")
     p, source = _coreset_problem(args)
     m, n = p.A.shape
-    deterministic = args.method == "barrier"
-    trials = 1 if deterministic else args.trials
-    seeds = [args.seed] if deterministic else _trial_seeds(args.seed, trials)
+    seeds = ([args.seed] if deterministic
+             else _trial_seeds(args.seed, args.trials))
     try:
         r_formula = coreset_size(args.method, n, args.eps, args.delta, m)
     except ArgumentError:
@@ -352,7 +361,7 @@ def _run_coreset(args):
         c = build_coreset(p, args.eps, method=args.method, delta=args.delta,
                           seed=s, r_override=args.r)
         rep = evaluate_coreset(p, c)
-        per.append({
+        trial = {
             "algorithm_seed": "deterministic" if deterministic else s,
             "ratio": rep["ratio"],
             "rows": rep["coreset_rows"],
@@ -363,19 +372,23 @@ def _run_coreset(args):
             "note": rep["note"],
             "full_solve_seconds": rep["full_solve_seconds"],
             "coreset_solve_seconds": rep["coreset_solve_seconds"],
-        })
+        }
+        if deterministic:  # only a barrier trial has a walk to show
+            trial["checkpoints"] = rep["checkpoints"]
+        per.append(trial)
     return {
         "algorithm": "build_coreset",
         "input": {"rows": m, "cols": n, "source": source, "seed": args.seed},
         "params": {"method": args.method, "eps": args.eps, "delta": args.delta,
-                   "r": args.r, "constraint": args.mode, "trials": trials},
+                   "r": args.r, "constraint": args.mode,
+                   "trials": args.trials},
         "results": {
             "r_formula": r_formula,
             "bound_value": 1.0 + args.eps,
             "bound_formula": "(1+eps)*||A x_opt - b||^2 on the squared objective",
             "bound_kind": "per-instance" if deterministic else "probabilistic",
             "mean_ratio": _finite_mean([e["ratio"] for e in per]),
-            "success_fraction": sum(e["satisfied"] for e in per) / trials,
+            "success_fraction": sum(e["satisfied"] for e in per) / args.trials,
             "per_trial": per,
         },
     }

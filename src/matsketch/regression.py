@@ -11,8 +11,8 @@ The barrier coreset is certified per instance. Every A x - b lies in the
 span of an orthonormal basis U_Y of [A b], so a row sampling S whose
 distortion kappa = lambda_max / lambda_min of (S U_Y)^T (S U_Y) is at
 most 1 + eps gives a solution within kappa of the optimum under any
-constraint. The builder measures kappa on a short barrier walk and
-lengthens the walk only until it passes.
+constraint. The builder walks once and measures kappa at doubling
+checkpoints along the way, keeping the first plan that passes.
 """
 
 import math
@@ -34,9 +34,10 @@ from .samplers import (_barrier_core, _embedding_kappa, _ortho_deviation,
 from .sketch import srht_rows
 
 _CONSTRAINTS = ("none", "nonnegative")
-# the barrier coreset's first walk is ceil(_FIRST_WALK rank([A b]) / eps^2)
-# steps, 1/25 of the formula's; a walk past _MAX_WALK_PER_ROW m steps is not
-# started, since all m rows at weight 1 (kappa = 1) answer at once
+# the barrier coreset's walk is first checked after
+# ceil(_FIRST_WALK rank([A b]) / eps^2) steps, 1/25 of the formula's; it is
+# not walked to a checkpoint past _MAX_WALK_PER_ROW m steps, since all m rows
+# at weight 1 (kappa = 1) answer at once
 _FIRST_WALK = 9.0
 _MAX_WALK_PER_ROW = 16
 
@@ -88,8 +89,11 @@ class Coreset:
 
     A barrier coreset also carries its certificate: kappa, an upper end of
     the distortion of the plan on span([A b]) (samplers._embedding_kappa;
-    1.0 for the all-rows answer, whose plan is noted "all-rows"), and
-    steps, the barrier steps walked in all. Other methods leave both None.
+    1.0 for the all-rows answer, whose plan is noted "all-rows"); steps,
+    the barrier steps walked to the kept plan (to the last checkpoint, for
+    an all-rows answer after a walk; 0 where no walk started); and
+    checkpoints, the (steps, kappa) of every partial plan the walk
+    measured, in order. Other methods leave all three None.
     """
 
     plan: object
@@ -100,6 +104,7 @@ class Coreset:
     delta: float = field(default=float("nan"))
     kappa: float | None = None
     steps: int | None = None
+    checkpoints: tuple | None = None
 
 
 def coreset_size(method, n, eps, delta, m):
@@ -121,19 +126,22 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
 
     barrier: deterministic and certified on every run. With U_Y the
     orthonormal basis of [A b] that p factors once for all its coresets
-    and d = rank([A b]), the single-set barrier walk on U_Y runs
-    ceil(9 d/eps^2) steps and the distortion kappa of its plan on
-    span(U_Y) is measured (Coreset.kappa, with its rounding margin). A
-    plan with kappa <= 1 + eps is returned; otherwise the walk is run
-    again at twice the length, up to the formula's r = ceil(225(n+1)/eps^2),
-    where the barrier's sandwich ((1 + eps/15)/(1 - eps/15))^2 < 1 + eps
-    holds for every plan. A walk longer than 16 m steps is not started:
-    all m rows at weight 1 are returned instead (kappa = 1, plan note
-    "all-rows"). Coreset.steps is the total walked. subspace: leverage
-    sampling of the rows of U_Y, r = ceil(36(n+1) ln(2(n+1)/delta)/eps^2),
-    holds w.p. >= 1-delta. srht: uniform sampling of Hadamard-mixed rows
-    (no U_Y) with r = ceil(72(n+1) ln(2(n+1)/delta) log2(40(n+1)m)/eps^2),
-    holds w.p. >= 0.95-delta. r_override replaces the formula count: a
+    and d = rank([A b]), one single-set barrier walk on U_Y runs with the
+    formula's r = ceil(225(n+1)/eps^2) as its parameter. After
+    w = ceil(9 d/eps^2) steps, 2w, 4w, ... and r, the distortion kappa of
+    its partial plan on span(U_Y) is measured (Coreset.kappa, with its
+    rounding margin), and the first plan with kappa <= 1 + eps is returned.
+    At r the barrier's sandwich ((1 + eps/15)/(1 - eps/15))^2 < 1 + eps
+    holds for every plan. Where the next checkpoint would pass 16 m steps,
+    the walk ends (or, with w > 16 m, never starts) and all m rows at
+    weight 1 are returned instead (kappa = 1, plan note "all-rows").
+    Coreset.steps is the kept checkpoint's step count, and
+    Coreset.checkpoints the (steps, kappa) of each one measured.
+    subspace: leverage sampling of the rows of U_Y,
+    r = ceil(36(n+1) ln(2(n+1)/delta)/eps^2), holds w.p. >= 1-delta.
+    srht: uniform sampling of Hadamard-mixed rows (no U_Y) with
+    r = ceil(72(n+1) ln(2(n+1)/delta) log2(40(n+1)m)/eps^2), holds
+    w.p. >= 0.95-delta. r_override replaces the formula count: a
     barrier walk of exactly that many steps, at most 16 m, whose kappa is
     reported but not checked (meant for desk-scale experiments).
     """
@@ -159,7 +167,7 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
     if method == "barrier" and r_override is not None and r > _MAX_WALK_PER_ROW * m:
         raise ArgumentError(f"barrier walk of r={r} steps exceeds "
                             f"{_MAX_WALK_PER_ROW} m = {_MAX_WALK_PER_ROW * m}")
-    kappa = steps = None
+    kappa = steps = checkpoints = None
     if method == "srht":
         C, b_c, plan = srht_rows(p.A, p.b, r,
                                  seed=rng.derive_seed(seed, rng.CORESET, 1))
@@ -169,7 +177,8 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
             if r <= U_Y.shape[1]:
                 raise ArgumentError(
                     f"coreset size r={r} must exceed rank(Y)={U_Y.shape[1]}")
-            plan, kappa, steps = _barrier_plan(U_Y, eps, r, r_override is None)
+            plan, kappa, steps, checkpoints = _barrier_plan(
+                U_Y, eps, r, r_override is None)
         elif method == "subspace":
             plan = subspace_sampling(U_Y, 1.0, r,
                                      seed=rng.derive_seed(seed, rng.CORESET, 0))
@@ -180,42 +189,55 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         b_c = plan.weights * p.b[plan.indices]
     return Coreset(plan=plan, C=C, b_c=b_c, method=method, eps=float(eps),
                    delta=float("nan") if method == "barrier" else float(delta),
-                   kappa=kappa, steps=steps)
+                   kappa=kappa, steps=steps, checkpoints=checkpoints)
 
 
 def _barrier_plan(U_Y, eps, r, adaptive):
-    """(plan, kappa, steps) of the barrier coreset on the m x d basis U_Y.
+    """(plan, kappa, steps, checkpoints) of the barrier coreset on the m x d
+    basis U_Y; checkpoints is the (steps, kappa) of every plan measured.
 
-    adaptive: walks of ceil(_FIRST_WALK d/eps^2), twice that, ... steps, up
-    to the formula's r, until kappa <= 1 + eps; the all-rows answer where
-    the next walk would pass _MAX_WALK_PER_ROW m steps. Otherwise one walk
-    of exactly r steps, kappa measured but not checked.
+    adaptive: one walk with parameter r, the formula's, whose partial plan
+    is measured after ceil(_FIRST_WALK d/eps^2) steps, twice that, ... and
+    after r steps; the first plan with kappa <= 1 + eps is kept. Where the
+    next checkpoint would pass _MAX_WALK_PER_ROW m steps, the walk ends and
+    all rows answer instead. Otherwise one walk of exactly r steps, kappa
+    measured but not checked.
     """
     m, d = U_Y.shape
-    dev = _ortho_deviation(U_Y)
-    walk = min(formula_width(_FIRST_WALK * d, eps), r) if adaptive else r
-    steps, warned = 0, False
-    while True:
-        if adaptive and walk > _MAX_WALK_PER_ROW * m:
-            return SamplingPlan(m, np.arange(m), 1.0, note="all-rows"), 1.0, steps
-        if walk > m and not warned:
+    at = []
+    tau = min(formula_width(_FIRST_WALK * d, eps), r) if adaptive else r
+    while tau <= _MAX_WALK_PER_ROW * m:
+        at.append(tau)
+        if tau == r:
+            break
+        tau = min(2 * tau, r)
+    trail, steps = [], 0
+    if at:
+        dev = _ortho_deviation(U_Y)
+
+        def check(tau, s):
+            kappa = _embedding_kappa(U_Y, _plan_from_weights(s), dev)
+            trail.append((tau, kappa))
+            return kappa <= 1.0 + eps or tau == at[-1]
+
+        plan = _plan_from_weights(
+            _barrier_core(U_Y, r, U_Y, hook=(set(at), check)))
+        steps, kappa = trail[-1]
+        if steps > m:
             # the walk runs fine past m steps and still emits at most m
             # distinct rows, so a long walk only costs time
             warnings.warn(
-                f"barrier walk of {walk} steps exceeds m={m}; continuing "
-                "(at most m distinct weighted rows come out)", stacklevel=3)
-            warned = True
-        plan = _plan_from_weights(_barrier_core(U_Y, walk, U_Y))
-        steps += walk
-        kappa = _embedding_kappa(U_Y, plan, dev)
+                f"barrier walk of {steps} steps exceeds m={m} (at most m "
+                "distinct weighted rows come out)", stacklevel=3)
         if not adaptive or kappa <= 1.0 + eps:
-            return plan, kappa, steps
-        if walk == r:
+            return plan, kappa, steps, tuple(trail)
+        if steps == r:
             raise NumericError(
                 f"internal: the formula-size barrier walk (r={r}, rank {d}) "
                 f"has kappa={kappa!r} > 1+eps={1.0 + eps!r}, against the "
                 "barrier's sandwich bound")
-        walk = min(2 * walk, r)
+    return (SamplingPlan(m, np.arange(m), 1.0, note="all-rows"), 1.0, steps,
+            tuple(trail))
 
 
 def _nnls(C, b):
@@ -277,8 +299,9 @@ def evaluate_coreset(p, c):
     zero full residual (linalg._ratio) with a zero coreset residual
     reports 1.0; with a nonzero one, +inf (ratio_finite=False). x_full is
     solved on p's first evaluate and kept; full_solve_seconds times its
-    read. kappa, steps and note are the coreset's certificate, its barrier
-    steps and its plan's note ("all-rows" for the barrier's all-rows answer).
+    read. kappa, steps, checkpoints and note are the coreset's certificate,
+    its barrier steps, the (steps, kappa) of each plan its walk measured and
+    its plan's note ("all-rows" for the barrier's all-rows answer).
     """
     t0 = time.perf_counter()
     x_full = p._optimum
@@ -308,6 +331,7 @@ def evaluate_coreset(p, c):
         "delta": c.delta,
         "kappa": c.kappa,
         "steps": c.steps,
+        "checkpoints": c.checkpoints,
         "note": c.plan.note,
         "full_solve_seconds": t_full,
         "coreset_solve_seconds": t_core,

@@ -171,7 +171,7 @@ def _is_identity(M):
             and bool((M.diagonal() == 1.0).all()))
 
 
-def _barrier_core(V, r, upper):
+def _barrier_core(V, r, upper, hook=None):
     """Shared greedy loop; returns the merged, rescaled weights s (length n).
 
     upper is an n x ell matrix U for spectral control of ||U^T Omega S||_2
@@ -205,6 +205,12 @@ def _barrier_core(V, r, upper):
     sum VW/e^2 and sum VW/e for the upper side of the single-set walk.
     Each sum takes the same floating-point operations in the same order as
     when it is taken on its own, so the grouping changes no bit.
+
+    hook, if given, is (steps, check): after each step tau in the set
+    steps, check(tau, s) is called with the weights of the walk so far,
+    rescaled as the return value is (by (1 - sqrt(k/r))/r, r the walk's
+    parameter); a true result ends the walk there and those weights are
+    returned. The hook changes no bit of the walk.
     """
     n, k = V.shape
     if not (k < r):
@@ -245,6 +251,7 @@ def _barrier_core(V, r, upper):
         e2, e, gapU = G[3], G[4], G[5]
 
     s = np.zeros(n)
+    scale = shrink / r
     A_acc = np.zeros((k, k))
     for tau in range(int(r)):
         # row-independent quantities: once per step
@@ -328,8 +335,11 @@ def _barrier_core(V, r, upper):
         s[lo + i] += t
         v = Vb[i]
         A_acc += t * (v[:, None] * v)
+        if (hook is not None and tau + 1 in hook[0]
+                and hook[1](tau + 1, s * scale)):
+            break
 
-    return s * (shrink / r)
+    return s * scale
 
 
 def _plan_from_weights(s):

@@ -71,11 +71,15 @@ def test_coreset_barrier_example(capsys):
     # the certificate: a walk far shorter than the formula's 3600 steps
     assert trial["ratio"] <= trial["kappa"] <= 1.5
     assert 144 <= trial["steps"] < 3600 and trial["note"] == ""
+    # the trail ends at the kept checkpoint; every earlier one failed
+    *failed, kept = trial["checkpoints"]
+    assert kept == [trial["steps"], trial["kappa"]]
+    assert all(kappa > 1.5 for _, kappa in failed)
 
 
 def test_coreset_barrier_bounded_work(capsys, monkeypatch):
-    # eps = 0.01 puts even the first walk (360000 steps) past 16 m = 640 on
-    # this 40-row input: all rows answer, and no walk starts
+    # eps = 0.01 puts even the first checkpoint (360000 steps) past
+    # 16 m = 640 on this 40-row input: all rows answer, and no walk starts
     from matsketch import regression
 
     def no_walk(*args):
@@ -87,6 +91,7 @@ def test_coreset_barrier_bounded_work(capsys, monkeypatch):
     assert code == 0
     trial = rep["results"]["per_trial"][0]
     assert (trial["kappa"], trial["steps"], trial["note"]) == (1.0, 0, "all-rows")
+    assert trial["checkpoints"] == []
     assert trial["rows"] == trial["distinct_rows"] == 40
     assert trial["ratio"] == 1.0
 
@@ -97,6 +102,7 @@ def test_randomized_coreset_trials_report_no_certificate(capsys, method):
                      "-r", "30", "--trials", "2", *_CORESET_INPUT)
     for t in rep["results"]["per_trial"]:
         assert (t["kappa"], t["steps"]) == (None, None)
+        assert "checkpoints" not in t
 
 
 def test_lowerbound_example(capsys):
@@ -325,6 +331,24 @@ def test_id_has_no_trials_flag():
         main(["id", "-k", "3", "--trials", "5",
               "--synthetic", "lowrank:50,30,3,0.05"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["coreset", "--method", "barrier", "--eps", "0.5",
+     "--synthetic", "lowrank:200,3,2,0.1"],
+    ["cx", "spectral", "--mode", "deterministic", "-k", "2", "-r", "8",
+     "--synthetic", "lowrank:60,40,2,0.05"],
+    ["cx", "frobenius", "--mode", "deterministic", "-k", "2", "-r", "8",
+     "--synthetic", "lowrank:60,40,2,0.05"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_deterministic_runs_refuse_more_than_one_trial(capsys, argv):
+    # they ran one trial and reported "trials": 1 whatever --trials said
+    code, err = run_cli(capsys, *argv, "--trials", "5")
+    assert code == 2
+    assert err["error"]["type"] == "ArgumentError"
+    assert "runs one trial, got --trials 5" in err["error"]["message"]
+    code, rep = run_cli(capsys, *argv, "--trials", "1")
+    assert code == 0 and rep["params"]["trials"] == 1
 
 
 def test_coreset_barrier_r_past_16_m_steps_exits_2(capsys, monkeypatch):

@@ -277,41 +277,112 @@ def test_barrier_coreset_warns_when_formula_exceeds_rows():
 
 
 class _Walks:
-    """Stands in for regression._barrier_core: records each walk length
-    and runs the walk, refusing any longer than `limit` steps."""
+    """Stands in for regression._barrier_core: records each walk's
+    parameter r and every step its hook checks, and runs the walk."""
 
-    def __init__(self, limit):
-        self.limit, self.lengths = limit, []
+    def __init__(self):
+        self.calls, self.checked = [], []
 
-    def __call__(self, V, r, upper):
-        assert r <= self.limit, f"a walk of {r} steps was started"
-        self.lengths.append(r)
-        return _barrier_core(V, r, upper)
+    def __call__(self, V, r, upper, hook=None):
+        steps, check = hook
+        self.calls.append(r)
+
+        def recording(tau, s):
+            self.checked.append(tau)
+            self.last_checked = s
+            return check(tau, s)
+
+        self.returned = _barrier_core(V, r, upper, hook=(steps, recording))
+        return self.returned
 
 
 def _kappa_fails_below(walks, r):
-    """A kappa that fails every check until the walk reaches length r."""
+    """A kappa that fails every check until the walk reaches step r."""
     real = regression._embedding_kappa
     return lambda V, plan, dev: (
-        real(V, plan, dev) if walks.lengths[-1] >= r else math.inf)
+        real(V, plan, dev) if walks.checked[-1] >= r else math.inf)
 
 
 def test_barrier_coreset_schedule_and_all_rows_answer(monkeypatch):
-    # m = 100, d = 4, eps = 0.5: walks of 144, 288, 576 and 1152 steps; the
-    # next (2304) would pass 16 m = 1600, so all rows come back at weight 1
+    # m = 100, d = 4, eps = 0.5: one walk with the formula's r = 3600,
+    # checked after 144, 288, 576 and 1152 steps; the next checkpoint (2304)
+    # would pass 16 m = 1600, so the walk ends there and all rows come back
+    # at weight 1
     p = _problem(100, 3, 11)
-    walks = _Walks(1600)
+    walks = _Walks()
     monkeypatch.setattr(regression, "_barrier_core", walks)
     monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: math.inf)
-    with pytest.warns(UserWarning, match="144 steps exceeds m=100"):
+    with pytest.warns(UserWarning, match="1152 steps exceeds m=100"):
         c = build_coreset(p, 0.5, method="barrier")
-    assert walks.lengths == [144, 288, 576, 1152]
-    assert (c.kappa, c.steps, c.plan.note) == (1.0, 2160, "all-rows")
+    assert walks.calls == [3600]
+    assert walks.checked == [144, 288, 576, 1152]
+    assert np.array_equal(walks.returned, walks.last_checked)  # ended at 1152
+    assert (c.kappa, c.steps, c.plan.note) == (1.0, 1152, "all-rows")
+    assert c.checkpoints == tuple((t, math.inf) for t in walks.checked)
     assert c.plan.indices.tolist() == list(range(100))
     assert (c.plan.weights == 1.0).all()
     rep = evaluate_coreset(p, c)
     assert rep["ratio"] == pytest.approx(1.0, abs=1e-12)
-    assert (rep["kappa"], rep["steps"], rep["note"]) == (1.0, 2160, "all-rows")
+    assert (rep["kappa"], rep["steps"], rep["note"]) == (1.0, 1152, "all-rows")
+    assert rep["checkpoints"] == c.checkpoints
+
+
+def test_barrier_coreset_warns_only_past_m_steps(monkeypatch):
+    # m = 300 is below the formula's r = 3600, but the walk stops at a
+    # checkpoint below m, so nothing is walked past m
+    p = _problem(300, 3, 11)
+    monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = build_coreset(p, 0.5, method="barrier")
+    assert c.steps == 144
+
+
+def test_default_barrier_build_walks_once(monkeypatch):
+    # the walk is checked as it goes: a failed check continues it, where a
+    # restart would start a second walk from zero
+    p = _problem(600, 3, 5)
+    walks = _Walks()
+    monkeypatch.setattr(regression, "_barrier_core", walks)
+    monkeypatch.setattr(regression, "_embedding_kappa",
+                        _kappa_fails_below(walks, 576))
+    c = build_coreset(p, 0.5, method="barrier")
+    assert walks.calls == [3600]
+    assert walks.checked == [144, 288, 576]
+    assert c.steps == 576 and c.kappa <= 1.5
+    assert [t for t, _ in c.checkpoints] == [144, 288, 576]
+    assert np.array_equal(walks.returned, walks.last_checked)  # ended at 576
+
+
+@pytest.mark.parametrize("upper", ["same", "matrix", "vector"])
+def test_hook_that_never_accepts_changes_no_bit_of_the_walk(upper):
+    U = svd(rand(21).normal(size=(200, 4))).U
+    side = {"same": U, "matrix": svd(rand(22).normal(size=(200, 3))).U,
+            "vector": rand(23).uniform(size=200)}[upper]
+    r, seen = 60, []
+
+    def never(tau, s):
+        seen.append((tau, s))
+        return False
+
+    got = _barrier_core(U, r, side, hook=(set(range(1, r + 1)), never))
+    want = _barrier_core(U, r, side)
+    assert np.array_equal(got, want)
+    assert [t for t, _ in seen] == list(range(1, r + 1))
+    assert np.array_equal(seen[-1][1], want)
+
+
+def test_benchmark_shape_is_certified_in_one_360_step_walk():
+    # the 2000 x 4 nonnegative problem of the coreset-barrier benchmark at
+    # seed 1: its plan after 180 steps has kappa 1.51 > 1.5, and the same
+    # walk passes at 360 (restarting it walked 180 + 360 steps)
+    g = np.random.default_rng([1, 1])
+    A = g.standard_normal((2000, 4))
+    b = A @ g.standard_normal(4) + 0.1 * g.standard_normal(2000)
+    c = build_coreset(RegressionProblem(A, b, "nonnegative"), 0.5)
+    assert c.steps == 360 and c.kappa <= 1.5
+    assert [t for t, _ in c.checkpoints] == [180, 360]
+    assert c.checkpoints[0][1] > 1.5
 
 
 @pytest.mark.filterwarnings("ignore:barrier walk")
@@ -324,12 +395,13 @@ def test_barrier_coreset_formula_walk_failing_its_check_is_internal(monkeypatch)
 
 def test_r_override_walks_exactly_and_reports_kappa(monkeypatch):
     p = _problem(300, 2, 13)
-    walks = _Walks(40)
+    walks = _Walks()
     monkeypatch.setattr(regression, "_barrier_core", walks)
     monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: 1e6)
     c = build_coreset(p, 0.1, method="barrier", r_override=40)
-    assert walks.lengths == [40]
+    assert (walks.calls, walks.checked) == ([40], [40])
     assert (c.kappa, c.steps, c.plan.note) == (1e6, 40, "")
+    assert c.checkpoints == ((40, 1e6),)
 
 
 class _NoWalk(Exception):
@@ -342,7 +414,7 @@ def test_r_override_past_16_m_steps_is_refused_before_any_walk(monkeypatch):
     p = _problem(300, 2, 13)
     started = []
 
-    def recording(V, r, upper):
+    def recording(V, r, upper, hook=None):
         started.append(r)
         raise _NoWalk
 
@@ -384,10 +456,12 @@ def test_ratio_never_exceeds_kappa(p, walk):
 @_PROPERTY
 @given(p=_tall_problems(), eps=st.sampled_from([0.2, 0.5, 0.9]))
 def test_default_barrier_coreset_is_certified(p, eps):
+    m, n = p.A.shape
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         c = build_coreset(p, eps, method="barrier")
     assert c.kappa <= 1 + eps
+    assert c.steps <= min(coreset_size("barrier", n, eps, 0.1, m), 16 * m)
     assert (c.plan.note == "all-rows") == (c.kappa == 1.0 and len(c.plan) == p.A.shape[0])
     assert evaluate_coreset(p, c)["ratio"] <= 1 + eps + 1e-9
 
@@ -396,22 +470,23 @@ def test_default_barrier_coreset_is_certified(p, eps):
           suppress_health_check=[HealthCheck.too_slow])
 @given(p=_tall_problems(), eps=st.sampled_from([0.6, 0.9]))
 def test_failed_checks_end_in_the_formula_plan(p, eps):
-    # with kappa failing on every shorter walk, the build ends in the
-    # formula-size plan (or, past 16 m steps, in all rows)
+    # with kappa failing at every checkpoint before r, the one walk ends in
+    # the formula-size plan (or, past 16 m steps, in all rows)
     m, n = p.A.shape
     U = svd(np.column_stack([p.A, p.b])).U
     r = coreset_size("barrier", n, eps, 0.1, m)
-    walks = _Walks(16 * m)
+    walks = _Walks()
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mp.setattr(regression, "_barrier_core", walks)
         mp.setattr(regression, "_embedding_kappa", _kappa_fails_below(walks, r))
         c = build_coreset(p, eps, method="barrier")
-    assert c.steps == sum(walks.lengths)
+    assert walks.calls == [r]
+    assert c.steps == walks.checked[-1] <= 16 * m
     if r > 16 * m:
         assert c.plan.note == "all-rows"
         return
-    assert walks.lengths[-1] == r
+    assert c.steps == r
     want = _plan_from_weights(_barrier_core(U, r, U))
     assert np.array_equal(c.plan.indices, want.indices)
     assert np.array_equal(c.plan.weights, want.weights)
