@@ -20,7 +20,7 @@ from .kmeans import (ClusterAssignment, indicator_matrix, kmeans_cost, lloyd,
                      reduce_features, selection_width)
 from .linalg import (ColumnProblem, SamplingPlan, SvdFactors,
                      apply_plan_columns, apply_plan_rows,
-                     best_rank_k_in_subspace, boost_best, pseudo_inverse, svd)
+                     best_rank_k_in_subspace, pseudo_inverse, svd)
 from .mmio import load_matrix, save_matrix
 from .oracles import (all_subset_errors, best_subset_exhaustive,
                       volume_probabilities_exhaustive)
@@ -44,8 +44,7 @@ __all__ = [
     "ClusterAssignment", "indicator_matrix", "kmeans_cost", "lloyd",
     "reduce_features", "selection_width",
     "ColumnProblem", "SamplingPlan", "SvdFactors", "apply_plan_columns",
-    "apply_plan_rows", "best_rank_k_in_subspace", "boost_best",
-    "pseudo_inverse", "svd",
+    "apply_plan_rows", "best_rank_k_in_subspace", "pseudo_inverse", "svd",
     "load_matrix", "save_matrix",
     "all_subset_errors", "best_subset_exhaustive",
     "volume_probabilities_exhaustive",

@@ -18,22 +18,21 @@ full SVD. For any orthonormal Z these are never below sigma_{k+1} or
 ||A - A_k||_F, the structural lemma of Boutsidis-Drineas-Magdon-Ismail
 holds for that E, and they read 0.0 on input of rank <= k.
 Deterministic cx_spectral starts from Z too: when m >= n and the Gram
-eigenvalues of E show rank(A) = n, its upper set is a basis of the
-complement of Z and its baseline ||E||_2 (_full_rank_split). Only when
-rank(A) = n cannot be established (rank < n, wide A, zero or duplicate
-columns, rank exactly k) does it factor A in full, for V[:, k:] and
-rank(A). Every bound is homogeneous in A, so selection and
-certification see only S; _certify alone scales numbers back, so
-nothing overflows or underflows and 2^j A gives 2^j times the numbers
-of A. Both errors, and a spectral baseline, come from G = S^T S, not
-from an m x n residual: R^T R = S^T S - B_k^T B_k for B_k = (Q^T S)_k,
-so each plan costs a rank-k update of a copy of G. The spectral error is the square root of
-a certified upper end of lambda_max (Lanczos, then a Cholesky
-factorization that proves the bound; linalg._lambda_max_upper), at most
-1e-10 relative above the SVD value of the formed residual. A wide A,
-cancellation (input of rank <= k) or a failed ARPACK or Cholesky call
-falls back to forming R and taking its top Gram eigenvalue alone
-(LAPACK dsyevr).
+eigenvalues of E show rank(A) = n, it walks Z against the complement of
+Z, with baseline ||E||_2 (_full_rank_split). Only when rank(A) = n cannot
+be established (rank < n, wide A, zero or duplicate columns, rank exactly
+k) does it factor A in full, for V[:, k:] and rank(A). Every bound is
+homogeneous in A, so selection and certification see only S; _certify
+alone scales numbers back, so nothing overflows or underflows and 2^j A
+gives 2^j times the numbers of A. Both errors, and a spectral baseline,
+come from G = S^T S, not from an m x n residual: R^T R = S^T S -
+B_k^T B_k for B_k = (Q^T S)_k, so each plan costs a rank-k update of a
+copy of G. The spectral error is the square root of a certified upper
+end of lambda_max (Lanczos, then a Cholesky factorization that proves
+the bound; linalg._lambda_max_upper), at most 1e-10 relative above the
+SVD value of the formed residual. A wide A, cancellation (input of rank
+<= k) or a failed ARPACK or Cholesky call falls back to forming R and
+taking its top Gram eigenvalue alone (LAPACK dsyevr).
 """
 
 import math
@@ -49,9 +48,9 @@ from .linalg import (ColumnProblem, SamplingPlan, _gram_eigenvalues,
                      _gram_residual_norms, _norms, _plan_columns,
                      _pow2_unscaled, _rank_svd, _residual, _subspace_factors,
                      apply_plan_rows, rank_cutoff)
-from .samplers import (adaptive_sampling, barrier_dual_frobenius,
-                       barrier_dual_spectral, barrier_single, rrqr_select,
-                       subspace_sampling)
+from .samplers import (_barrier_complement, adaptive_sampling,
+                       barrier_dual_frobenius, barrier_dual_spectral,
+                       barrier_single, rrqr_select, subspace_sampling)
 
 
 @dataclass(frozen=True)
@@ -105,19 +104,18 @@ _FULL_RANK_RATIO = 1e-3
 
 
 def _full_rank_split(p, k):
-    """(Z, U, sigma) with Z p.top(k)'s n x k subspace of S = A / 2^e, U an
-    orthonormal basis of its complement and sigma = ||S - S Z Z^T||_2, the
-    baseline in S's units; None unless m >= n and rank(A) = n is
-    established.
+    """(Z, sigma) with Z p.top(k)'s n x k subspace of S = A / 2^e and
+    sigma = ||S - S Z Z^T||_2, the baseline in S's units; None unless
+    m >= n and rank(A) = n is established.
 
     The rank test reads the Ritz values and every eigenvalue of the Gram
     matrix of E = p.residual(k), which is zero on Z and, off Z, S^T S
     compressed to Z's complement: rank(A) = n needs s_k above rank_cutoff
     and its (k+1)-th smallest eigenvalue above _FULL_RANK_RATIO^2 s_1^2.
     E needs no rescale of its own: wherever the test can pass, ||E||_2 is
-    above 1e-3 s_1 >= 1e-3 max |S| >= 5e-4. Then U U^T = I - Z Z^T, and
-    the dual-set walk reads U only through that product, so any basis of
-    the complement gives V[:, k:]'s guarantee."""
+    above 1e-3 s_1 >= 1e-3 max |S| >= 5e-4. Then V[:, k:] V[:, k:]^T =
+    I - Z Z^T, and the dual-set walk reads its upper set only through that
+    projector, so the complement of Z gives V[:, k:]'s guarantee."""
     if p.A.shape[0] < p.A.shape[1]:
         return None
     Z, s = p.top(k)
@@ -126,8 +124,7 @@ def _full_rank_split(p, k):
     lam = _gram_eigenvalues(p.residual(k))
     if not math.sqrt(max(lam[k], 0.0)) > _FULL_RANK_RATIO * s[0]:
         return None
-    U = np.linalg.qr(Z, mode="complete")[0][:, k:]
-    return Z, U, math.sqrt(max(lam[-1], 0.0))
+    return Z, math.sqrt(max(lam[-1], 0.0))
 
 
 def _problem(A):
@@ -148,8 +145,8 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
     """Pick r > k rescaled columns with a spectral rank-k reconstruction bound.
 
     deterministic: dual barrier selection on the top-k and residual right
-    singular subspaces (for rank(A) = n, the top-k subspace and any basis
-    of its complement); the bound
+    singular subspaces (for rank(A) = n, the top-k subspace and its
+    complement); the bound
     sqrt(2) * (1 + (1+sqrt((rho-k)/r)) / (1-sqrt(k/r))) * sigma_{k+1}
     holds on every run (the sqrt(2) covers the restricted-SVD estimator).
     fast: sketch the top subspace first, then run the barrier against the
@@ -162,29 +159,27 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
         shrink = _check_kr(p.A, k, r, 1)
         split = _full_rank_split(p, k)
         if split is not None:
-            Z, U, sigma = split
+            Z, sigma = split
             rho = n
+            plan = _barrier_complement(Z, Z, r)
         else:
             f = _rank_svd(p.S)
             rho = f.rank
             if k > rho:
                 raise ArgumentError(f"k={k} exceeds rank(A)={rho}")
-            Z, U = f.V[:, :k], f.V[:, k:]
+            Z = f.V[:, :k]
             sigma = float(f.singular_values[k]) if rho > k else 0.0
-        if rho > k:
-            plan = barrier_dual_spectral(Z, U, r)
-            const = 1.0 + (1.0 + math.sqrt((rho - k) / r)) / shrink
-        else:
-            # nothing outside the top subspace; a single-set run suffices
-            plan = barrier_single(Z, r)
-            const = 1.0 + 1.0 / shrink
+            # with nothing outside the top subspace a single-set run suffices
+            plan = (barrier_dual_spectral(Z, f.V[:, k:], r) if rho > k
+                    else barrier_single(Z, r))
+        const = 1.0 + (1.0 + math.sqrt((rho - k) / r)) / shrink
         formula = "sqrt(2)*(1+(1+sqrt((rho-k)/r))/(1-sqrt(k/r)))*sigma_{k+1}"
         return _certify(p, k, plan, "spectral", math.sqrt(2.0) * const,
                         formula, sigma)
     if mode == "fast":
         shrink = _check_kr(p.A, k, r, 2)
         basis = fast_spectral_svd(p.S, k, 1, seed=seed)
-        plan = barrier_dual_spectral(basis.Z, np.eye(n), r)
+        plan = _barrier_complement(basis.Z, basis.Z[:, :0], r)
         const = (math.sqrt(2.0) + 1.0) * (1.0 + (1.0 + math.sqrt(n / r)) / shrink)
         formula = "E: (sqrt(2)+1)*(1+(1+sqrt(n/r))/(1-sqrt(k/r)))*sigma_{k+1}"
         return _certify(p, k, plan, "spectral", const, formula)

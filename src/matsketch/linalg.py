@@ -570,22 +570,3 @@ def best_rank_k_in_subspace(A, C, k):
     """
     Q, W, Vt, _ = _subspace_factors(as_matrix(A), as_matrix(C, "C"), k)
     return Q @ W @ Vt, np.ascontiguousarray(Vt.T)
-
-
-def boost_best(run, trials, score, seed=0):
-    """Repeat a seeded randomized procedure and keep the lowest-scoring output.
-
-    `run(trial_seed)` must be deterministic in its seed. Per-trial seeds come
-    from the (seed; TRIAL, i) counter streams, so the winner is reproducible
-    and independent of evaluation order. Ties go to the lowest trial index.
-    """
-    if trials < 1:
-        raise ArgumentError(f"trials must be >= 1, got {trials}")
-    best = None
-    best_score = math.inf
-    for i in range(int(trials)):
-        out = run(rng.derive_seed(seed, rng.TRIAL, i))
-        sc = float(score(out))
-        if sc < best_score:
-            best, best_score = out, sc
-    return best

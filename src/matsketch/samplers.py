@@ -159,9 +159,8 @@ def _ortho_deviation(M):
 def _check_orthonormal(M, name):
     dev = _ortho_deviation(M)
     if dev > _ORTHO_TOL:
-        raise ArgumentError(
-            f"{name} must have orthonormal columns (deviation {dev:.2e} > {_ORTHO_TOL})"
-        )
+        raise ArgumentError(f"{name} must have orthonormal columns "
+                            f"(deviation {dev:.2e} > {_ORTHO_TOL})")
 
 
 def _is_identity(M):
@@ -171,13 +170,15 @@ def _is_identity(M):
             and bool((M.diagonal() == 1.0).all()))
 
 
-def _barrier_core(V, r, upper, hook=None):
+def _barrier_core(V, r, upper, hook=None, complement=False):
     """Shared greedy loop; returns the merged, rescaled weights s (length n).
 
     upper is an n x ell matrix U for spectral control of ||U^T Omega S||_2
     (V itself for the single-set walk, which then reuses the lower side's
     eigenpairs), or a length-n vector of squared column norms for Frobenius
-    control by a constant per-index potential.
+    control by a constant per-index potential. With complement, upper is an
+    orthonormal n x q W and U U^T = I - W W^T, ell = n - q, the only form
+    in which the walk reads U: an n x 0 W is I_n with no n x n array.
 
     B = sum_j s_j u_j u_j^T is never formed: with Y = diag(sqrt(s_P)) U[P]
     over the p <= tau picked rows P, eigh(Y Y^T) = (nu, Q), R = Y^T Q,
@@ -186,6 +187,9 @@ def _barrier_core(V, r, upper, hook=None):
       u^T (cI - B)^-2 u = |u|^2/c^2 + sum z^2 (2c - nu) / (c (c - nu))^2,
       tr (xI - B)^-1 = (ell - p)/x + sum 1/(x - nu);
     nothing divides by nu, so a singular Gram (p > ell) needs no care.
+    For the complement, x = sqrt(s_P) and X = diag(x) W[P] give
+    Y Y^T = diag(x^2) - X X^T (x^2, as I_n's span walk rounds it, not s_P),
+    |u_j|^2 = 1 - |w_j|^2 and z_j = (x Q scattered into rows P) - w_j X^T Q.
 
     Rows with ||v_j||^2 <= eps k/n are round-off (zero input columns) and
     never picked: their weight 2/(U + L) would be unbounded. Each step
@@ -219,12 +223,14 @@ def _barrier_core(V, r, upper, hook=None):
     sqrt_rk = math.sqrt(r * k)
     live = np.einsum("ij,ij->i", V, V) > np.finfo(float).eps * k / n
 
-    same = upper is V
+    same = upper is V and not complement
     quadratic = upper.ndim == 2
     if quadratic:
         ell = upper.shape[1]
-        dU = (1.0 + math.sqrt(ell / r)) / shrink
         u_sq = np.einsum("ij,ij->i", upper, upper)
+        if complement:
+            ell, u_sq = n - ell, 1.0 - u_sq
+        dU = (1.0 + math.sqrt(ell / r)) / shrink
     else:
         total = float(upper.sum())
         dU = total / shrink
@@ -271,8 +277,9 @@ def _barrier_core(V, r, upper, hook=None):
                 np.multiply(e, e, out=e2)
             else:
                 P = np.flatnonzero(s)
-                Y = np.sqrt(s[P])[:, None] * upper[P]
-                nu, Q = _eigh(Y @ Y.T)
+                x = np.sqrt(s[P])
+                Y = x[:, None] * upper[P]
+                nu, Q = _eigh(np.diag(x * x) - Y @ Y.T if complement else Y @ Y.T)
                 R = Y.T @ Q
                 e = c - nu
             if not e.min(initial=math.inf) > 0:
@@ -285,9 +292,8 @@ def _barrier_core(V, r, upper, hook=None):
             if same:
                 denomU = float(inv_sums[5] - inv_sums[4])
             else:
-                denomU = float((1.0 / (Uthr - nu)).sum() - (1.0 / e).sum()) + (
-                    ell - nu.size
-                ) * (1.0 / Uthr - 1.0 / c)
+                denomU = (float((1.0 / (Uthr - nu)).sum() - (1.0 / e).sum())
+                          + (ell - nu.size) * (1.0 / Uthr - 1.0 / c))
                 w1 = 1.0 / (c * e)
                 w2 = (c + e) / (c * c * e * e)
             if denomU <= 0:
@@ -304,6 +310,9 @@ def _barrier_core(V, r, upper, hook=None):
                 Uvals = sums[2] / denomU + sums[3]
             elif quadratic:
                 ub, Z2 = side[1], side[0] @ R
+                if complement:  # z^2 = (W R - x Q in rows P)^2
+                    a, b = np.searchsorted(P, (lo, lo + ub.size))
+                    Z2[P[a:b] - lo] -= x[a:b, None] * Q[a:b]
                 Z2 *= Z2
                 Uvals = (ub / (c * c) + Z2 @ w2) / denomU + (ub / c + Z2 @ w1)
             else:
@@ -325,10 +334,7 @@ def _barrier_core(V, r, upper, hook=None):
                 margin, np.min(Uvals - Lvals, where=ok, initial=math.inf))
         else:
             raise InfeasibleStepError(
-                tau,
-                float(margin),
-                "check that the input columns are orthonormal",
-            )
+                tau, float(margin), "check that the input columns are orthonormal")
         t = 2.0 / total_UL[i]
         if not (t > 0 and math.isfinite(t)):
             raise InfeasibleStepError(tau, t, "nonpositive or non-finite weight")
@@ -396,6 +402,12 @@ def _embedding_kappa(V, plan, dev):
             * (1.0 + 8.0 * _U))
 
 
+def _barrier_complement(V, W, r):
+    """barrier_dual_spectral for U U^T = I - W W^T, W = V or n x 0 (I_n)."""
+    _check_orthonormal(V, "V")
+    return _plan_from_weights(_barrier_core(V, int(r), W, complement=True))
+
+
 def barrier_dual_spectral(V, U, r):
     """Deterministic dual-set sparsifier (spectral/spectral).
 
@@ -406,6 +418,7 @@ def barrier_dual_spectral(V, U, r):
     with dL = 1, dU = (1 + sqrt(ell/r)) / (1 - sqrt(k/r)); each step picks
     the smallest feasible index (U(u_j) <= L(v_j)), weight t = 2/(U + L);
     final weights are rescaled by (1 - sqrt(k/r))/r and stored as sqrt(s_i).
+    An exact I_n is walked as I - W W^T, W n x 0, without products with it.
     """
     V = as_matrix(V, "V")
     U = as_matrix(U, "U")
@@ -414,9 +427,11 @@ def barrier_dual_spectral(V, U, r):
         raise ArgumentError("V and U must have the same number of rows")
     if not (k < r <= n):
         raise ArgumentError(f"need k < r <= n, got k={k}, r={r}, n={n}")
+    if _is_identity(U):
+        return _barrier_complement(V, U[:, :0], r)
     _check_orthonormal(V, "V")
     same = U is V or (U.shape == V.shape and np.array_equal(U, V))
-    if not (same or _is_identity(U)):
+    if not same:
         _check_orthonormal(U, "U")
     return _plan_from_weights(_barrier_core(V, int(r), V if same else U))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -60,6 +61,19 @@ def test_cx_spectral_fast_plan_is_the_identity_walk():
         want = barrier_dual_spectral(basis.Z, np.eye(40), 12)
         got = cx_spectral(A, 3, 12, mode="fast", seed=s).plan
         assert plan_digest(got) == plan_digest(want)
+
+
+def test_cx_spectral_fast_forms_no_n_by_n_array():
+    # the identity upper side is the complement of nothing: no 8 n^2 bytes
+    A = lowrank_plus_noise(200, 4000, 5, 0.1, seed=6)
+    cx_spectral(A[:, :100], 5, 20, mode="fast")  # lazy imports first
+    tracemalloc.start()
+    try:
+        cx_spectral(A, 5, 20, mode="fast")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * A.nbytes
 
 
 def test_cx_spectral_fast_expectation_bound():

@@ -1,4 +1,4 @@
-"""Core container, SVD, plan application, restricted projection, boosting."""
+"""Core container, SVD, plan application, restricted projection."""
 
 import math
 import warnings
@@ -8,8 +8,8 @@ import pytest
 
 from matsketch import (ArgumentError, NumericError, SamplingPlan,
                        apply_plan_columns, apply_plan_rows,
-                       best_rank_k_in_subspace, boost_best, cx_frobenius,
-                       lower_bound_instance, pseudo_inverse, svd)
+                       best_rank_k_in_subspace, lower_bound_instance,
+                       pseudo_inverse, svd)
 from matsketch import linalg
 from matsketch.linalg import (ColumnProblem, _gram_residual_norms,
                               _lambda_max_upper, _norms, _subspace_factors,
@@ -473,40 +473,6 @@ def test_projection_argument_errors():
     C = np.ones((4, 3))
     approx, Z = best_rank_k_in_subspace(A, C, 2)
     assert np.linalg.matrix_rank(approx) <= 2
-
-
-# ---------------------------------------------------------------------------
-# boost_best
-
-
-def test_boost_single_trial_is_single_run():
-    out = boost_best(lambda s: ("run", s), trials=1, score=lambda o: 0.0, seed=3)
-    single = boost_best(lambda s: ("run", s), trials=1, score=lambda o: 1.0, seed=3)
-    assert out == single
-
-
-def test_boost_constant_score_keeps_first_trial():
-    seen = []
-    out = boost_best(lambda s: seen.append(s) or s, trials=5,
-                     score=lambda o: 7.0, seed=11)
-    assert out == seen[0]
-
-
-def test_boost_reduces_cx_error():
-    A = lowrank_plus_noise(60, 40, 2, 0.3, seed=17)
-
-    def run(trial_seed):
-        return cx_frobenius(A, 2, 10, mode="fast", seed=trial_seed)
-
-    score = lambda res: res.rank_k_error_frobenius
-    one = boost_best(run, trials=1, score=score, seed=5)
-    ten = boost_best(run, trials=10, score=score, seed=5)
-    assert ten.rank_k_error_frobenius <= one.rank_k_error_frobenius + 1e-12
-
-
-def test_boost_rejects_zero_trials():
-    with pytest.raises(ArgumentError):
-        boost_best(lambda s: s, trials=0, score=lambda o: 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -574,17 +574,20 @@ def _coreset_factor(m, n, seed):
     return svd(np.column_stack([A, b])).U
 
 
-def _same_outcome(V, r, upper):
+def _same_outcome(V, r, upper, complement=False):
+    # the complement of an n x 0 upper is I_n, which the reference walks
+    ref_upper = np.eye(len(V)) if complement else upper
     try:
-        want = _ref_barrier_core(V, r, upper)
+        want = _ref_barrier_core(V, r, ref_upper)
     except InfeasibleStepError as exc:
         with pytest.raises(InfeasibleStepError) as got:
-            _barrier_core(V, r, upper)
+            _barrier_core(V, r, upper, complement=complement)
         assert (got.value.step, str(got.value)) == (exc.step, str(exc))
         assert got.value.margin == exc.margin or (
             math.isnan(got.value.margin) and math.isnan(exc.margin))
         return exc
-    assert np.array_equal(_barrier_core(V, r, upper), want)
+    assert np.array_equal(_barrier_core(V, r, upper, complement=complement),
+                          want)
     return want
 
 
@@ -604,6 +607,7 @@ def test_barrier_matches_reference_on_every_upper_side():
         past_ell.append(np.count_nonzero(_same_outcome(V, r, U)) > ell)
         _same_outcome(V, r, V)
         _same_outcome(V, min(r, n), np.eye(n))
+        _same_outcome(V, min(r, n), V[:, :0], complement=True)
         c_sq = g.normal(size=(5, n)) ** 2
         _same_outcome(V, r, c_sq.sum(axis=0))
         _same_outcome(V, r, np.zeros(n))
@@ -618,9 +622,31 @@ def test_barrier_matches_reference_with_zero_rows():
     V[::3] = random_orthonormal(100, k, seed=31)
     U = np.zeros((n, 4))
     U[1::3] = random_orthonormal(100, 4, seed=32)
-    for upper in (V, U, np.eye(n), np.einsum("ij,ij->i", U, U)):
-        s = _same_outcome(V, r, upper)
+    for args in ((V,), (U,), (np.eye(n),), (np.einsum("ij,ij->i", U, U),),
+                 (V[:, :0], True)):
+        s = _same_outcome(V, r, *args)
         assert not s[1::3].any() and not s[2::3].any()
+
+
+@pytest.mark.parametrize("n, k, r", [(40, 3, 12), (200, 5, 20), (60, 2, 60),
+                                     (30, 29, 30), (25, 24, 25), (50, 4, 5),
+                                     (90, 1, 2)])
+def test_complement_of_z_walks_like_a_basis_of_it(n, k, r):
+    # U U^T = I - Z Z^T for any orthonormal basis U of Z's complement, and
+    # the walk reads U only through that projector
+    Z = random_orthonormal(n, k, seed=n + k + r)
+    U = np.linalg.qr(Z, mode="complete")[0][:, k:]
+    want = barrier_dual_spectral(Z, U, r)
+    got = samplers._barrier_complement(Z, Z, r)
+    assert np.array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=1e-11, atol=0)
+
+
+def test_complement_route_checks_its_lower_set():
+    V = rand(35).normal(size=(30, 3))
+    for W in (V, V[:, :0]):
+        with pytest.raises(ArgumentError, match="V must have orthonormal"):
+            samplers._barrier_complement(V, W, 10)
 
 
 def test_barrier_infeasible_step_matches_reference():
