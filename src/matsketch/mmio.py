@@ -10,12 +10,13 @@ up to three tiers:
 1. An ASCII body in a strict grammar (one token per line, or one row of
    comma-separated tokens per line, every token matching
    ``-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?`` and every line ending in
-   ``\n``) is checked in place and streamed to scipy's C++ reader a chunk
-   at a time, so Python holds the bytes and the result. That reader
-   rounds correctly, so it gives the bits of Python's ``float``; the
-   sign of a zero is taken from its token, by a scan of the whole body
-   that runs only when the result holds a zero. What ``save_matrix``
-   writes is in this grammar.
+   ``\n``) is checked by a vectorized scan of its non-digit bytes and
+   streamed to scipy's C++ reader, both in the same line-aligned spans of
+   about 256 KiB, so Python holds the bytes, the result and span-sized
+   temporaries. That reader rounds correctly, so it gives the bits of
+   Python's ``float``; the sign of a zero is taken from its token, a span
+   at a time, when the result holds a zero. What ``save_matrix`` writes
+   is in this grammar.
 2. Any other body, or one with a non-finite value, is decoded in full and
    converted whole: one split into tokens, one pass of Python's ``float``
    into a NumPy array, one vectorized finiteness check.
@@ -102,47 +103,90 @@ def _decode(data, path):
         ) from None
 
 
-# A real in the strict grammar. Outside it the C++ reader drops the rest of
-# a line without a word ("1_0" reads 1.0, "1.2.3" 1.2, "0x10" 0.0).
-_TOKEN = rb"-?+(?:\d++\.?+\d*+|\.\d++)(?:[eE][-+]?+\d++)?+"
-_ONE_PER_LINE = re.compile(rb"(?:%s\n)*+" % _TOKEN)
+# The strict grammar: `width` tokens -?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)? a
+# line, in ASCII, joined by commas, each line ending in "\n". Outside it the
+# C++ reader drops the rest of a line without a word ("1_0" reads 1.0). Only
+# non-digit bytes are read. Each has a code, "#" marking a digit right
+# before it: S is "\n" or ",", e is "e" or "E", and any other byte 10 or 11.
+_SYMBOLS = "S #S - #- . #. e #e + #+".split()
+_CODE = np.full(256, len(_SYMBOLS), np.uint8)
+for _code, _chars in zip(range(0, 10, 2), [b"\n,", b"-", b".", b"eE", b"+"]):
+    _CODE[list(_chars)] = _code
+# [code, next code]: the neighbours a token allows; "+" also an exponent's "-"
+_PAIR = np.zeros((12, 12), bool)
+for _prevs, _nexts in {"S #S": "#S - . #. #e", "-": "#S . #. #e", ".": "#S #e",
+                       "#.": "S #S e #e", "e #e": "#S +", "+": "#S"}.items():
+    for _p, _n in itertools.product(_prevs.split(), _nexts.split()):
+        _PAIR[_SYMBOLS.index(_p), _SYMBOLS.index(_n)] = True
+_PAIR = _PAIR.ravel()
 
 
-def _csv_rows(width):
-    """The strict grammar of CSV rows of `width` fields."""
-    return re.compile(rb"(?:%s(?:,%s){%d}\n)*+" % (_TOKEN, _TOKEN, width - 1))
+def _spans(data, start):
+    """(a, b) of each line-aligned span of data[start:]: cut after the
+    first line break at or past _CHUNK bytes, or at the end of data."""
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK - 1) + 1 or len(data)
+        yield start, end
+        start = end
+
+
+def _strict_rows(data, start, width):
+    """The number of lines of data[start:] if it is in the strict grammar
+    with `width` tokens a line, else None."""
+    rows = 0
+    for a, b in _spans(data, start):
+        if data[b - 1] != 10:  # ord("\n")
+            return None
+        buf = np.frombuffer(data, np.uint8, b - a, a)
+        at = np.flatnonzero(buf - np.uint8(48) > 9)  # not "0"-"9"
+        x = buf.take(at)
+        x[1:][(x[1:] == 45) & ((x[:-1] | 32) == 101)] = 43  # "e-" as "e+"
+        code = _CODE.take(x)
+        code[1:] += np.diff(at) > 1
+        code[0] += at[0] > 0
+        key = code[:-1] * np.uint8(12) + code[1:]
+        # each pair of neighbours; a span starts after a line break, code 0
+        if not (_PAIR[code[0]] and _PAIR.take(key).all()):
+            return None
+        # every `width`-th separator is a line break, and no other
+        n, seps = int(np.count_nonzero(x == 10)), code < 2
+        if np.count_nonzero(seps) != n * width or width > 1 and (
+                x.take(np.flatnonzero(seps))[width - 1::width] != 10).any():
+            return None
+        rows += n
+    return rows
 
 
 class _ChunkReader:
     """A binary file for scipy.io.mmread: a MatrixMarket header for `shape`,
-    then data[start:] a chunk at a time, commas (a CSV row's fields) turned
-    into line breaks. Each read returns the next chunk whatever size is
+    then data[start:] a span at a time, commas (a CSV row's fields) turned
+    into line breaks. Each read returns the next span whatever size is
     asked: the C++ reader takes the returned bytes as its buffer."""
 
     def __init__(self, data, start, shape):
         head = b"%s matrix array real general\n%d %d\n" % (
             _MM_MAGIC.encode(), *shape)
         self._chunks = itertools.chain([head], (
-            data[a:a + _CHUNK].replace(b",", b"\n")
-            for a in range(start, len(data), _CHUNK)))
+            data[a:b].replace(b",", b"\n") for a, b in _spans(data, start)))
 
     def read(self, size=-1):
         return next(self._chunks, b"")
 
 
-def _strict_reals(data, start, grammar, shape):
-    """The reals of data[start:] as an array of `shape`, read by scipy's C++
-    reader in MatrixMarket order (down each column in turn); None unless
-    data[start:] matches `grammar` and every value is finite. The caller
-    checks that the body holds as many values as `shape`. Inside the grammar
-    that reader and ``float`` give the same bits, except that it reads -0.0
-    and -1e-400 as +0.0."""
-    if not grammar.fullmatch(data, start):
+def _strict_reals(data, start, width, shape=None):
+    """The reals of data[start:] as an array of `shape` (default: one
+    column), read by scipy's C++ reader in MatrixMarket order (down each
+    column in turn); None unless data[start:] is in the strict grammar with
+    `width` tokens a line, holds as many values as `shape` and every value
+    is finite. Inside the grammar that reader and ``float`` give the same
+    bits, except that it reads -0.0 and -1e-400 as +0.0."""
+    rows = _strict_rows(data, start, width)
+    if not rows or shape is not None and rows * width != math.prod(shape):
         return None
     import scipy.io  # ~35 ms to import; only this path needs it
 
     try:
-        v = scipy.io.mmread(_ChunkReader(data, start, shape))
+        v = scipy.io.mmread(_ChunkReader(data, start, shape or (rows * width, 1)))
     except ValueError:
         return None
     if not _finite(v):
@@ -152,15 +196,20 @@ def _strict_reals(data, start, grammar, shape):
 
 
 def _sign_zeros(v, data, start):
-    """Negate each zero of v whose token in data[start:] starts with "-"."""
+    """Negate each zero of v whose token in data[start:] starts with "-",
+    a span at a time."""
     if np.count_nonzero(v) == v.size:
         return
-    zeros = np.flatnonzero(v.T == 0)  # file order is the C order of v.T
-    buf = np.frombuffer(data, np.uint8)[start:]
-    # value i > 0 starts one past the i-th line break or comma
-    seps = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")))
-    firsts = np.concatenate(([0], seps[:v.size - 1] + 1))
-    v.T.flat[zeros[buf[firsts[zeros]] == ord("-")]] = -0.0
+    flat, i = v.T.flat, 0  # file order is the C order of v.T
+    for a, b in _spans(data, start):
+        buf = np.frombuffer(data, np.uint8, b - a, a)
+        # token j starts at firsts[j - 1], one past the line break or comma
+        # before it; token 0 at firsts[-1], which would be the span's end
+        firsts = np.flatnonzero((buf == 10) | (buf == 44)) + 1
+        firsts[-1] = 0
+        zeros = np.flatnonzero(flat[i:i + firsts.size] == 0)
+        flat[i + zeros[buf.take(firsts.take(zeros - 1)) == 45]] = -0.0
+        i += firsts.size
 
 
 def _is_data(ln):
@@ -245,11 +294,9 @@ def _parse_matrixmarket(src, path):
         if m < 1 or n < 1:
             raise DataFormatError(f"{path}:{size_no}: dimensions must be positive")
         if isinstance(src, bytes):
-            start = _body_start(src, head)
-            if src.count(b"\n", start) == m * n:
-                A = _strict_reals(src, start, _ONE_PER_LINE, (m, n))
-                if A is not None:
-                    return A
+            A = _strict_reals(src, _body_start(src, head), 1, (m, n))
+            if A is not None:
+                return A
         text = _text(src)
         v = _reals(_body_tokens(text, head))
         if v is None or v.size != m * n:
@@ -302,10 +349,9 @@ def _parse_csv(src, path):
         end = src.find(b"\n")
         if end > 0:
             width = src.count(b",", 0, end) + 1
-            count = src.count(b"\n")
-            v = _strict_reals(src, 0, _csv_rows(width), (count * width, 1))
+            v = _strict_reals(src, 0, width)
             if v is not None:
-                return v.reshape((count, width))
+                return v.reshape((-1, width))
     text = _text(src)
     rows = list(filter(str.strip, text.splitlines()))
     if rows:

@@ -511,8 +511,8 @@ def _by_float(toks):
     return v if np.isfinite(v).all() else None
 
 
-# Bodies are handed to the C++ reader in chunks of mmio._CHUNK bytes; 3-byte
-# chunks split tokens, line breaks and commas across many chunk boundaries.
+# Bodies are handed to the C++ reader in line-aligned spans of at least
+# mmio._CHUNK bytes; 3-byte chunks cut a body into spans of one or a few lines.
 _CHUNKS = [mmio._CHUNK, 3]
 
 
@@ -521,9 +521,9 @@ _CHUNKS = [mmio._CHUNK, 3]
        width=st.integers(1, 3))
 def test_strict_reader_gives_the_bits_of_float_or_declines(toks, width):
     rows = [toks[i:i + width] for i in range(0, len(toks) - width + 1, width)]
-    for body, grammar, used in [
-            ("".join(t + "\n" for t in toks), mmio._ONE_PER_LINE, toks),
-            ("".join(",".join(r) + "\n" for r in rows), mmio._csv_rows(width),
+    for body, tokens_a_line, used in [
+            ("".join(t + "\n" for t in toks), 1, toks),
+            ("".join(",".join(r) + "\n" for r in rows), width,
              [t for r in rows for t in r])]:
         if not used:
             continue
@@ -534,11 +534,60 @@ def test_strict_reader_gives_the_bits_of_float_or_declines(toks, width):
         height = 2 if len(used) % 2 == 0 else 1
         for chunk in _CHUNKS:
             with mock.patch.object(mmio, "_CHUNK", chunk):
-                got = mmio._strict_reals(data, 4, grammar, (height, len(used) // height))
+                got = mmio._strict_reals(data, 4, tokens_a_line,
+                                         (height, len(used) // height))
             if want is None:
                 assert got is None
             else:
                 assert got is not None and got.T.tobytes() == want.tobytes()
+
+
+# The strict grammar as the regex it was first checked with: the scan in
+# mmio._strict_rows must accept exactly the bodies this regex full-matches.
+_TOKEN = rb"-?+(?:\d++\.?+\d*+|\.\d++)(?:[eE][-+]?+\d++)?+"
+
+
+def _grammar_rows(data, start, width):
+    """The line count of data[start:] if the regex full-matches it, else None."""
+    rows = re.compile(rb"(?:%s(?:,%s){%d}\n)*+" % (_TOKEN, _TOKEN, width - 1))
+    return data.count(b"\n", start) if rows.fullmatch(data, start) else None
+
+
+@st.composite
+def _strict_bodies(draw):
+    """Rows of `width` tokens joined by commas and line breaks; most tokens
+    are in the grammar, and some bodies get one fault: an empty token, a
+    row a token short or long, no last line break, or one stray byte."""
+    width = draw(st.integers(1, 3))
+    good = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    toks = draw(st.lists(st.one_of(good, good, good, _strict_tokens),
+                         min_size=width, max_size=9).map(
+        lambda t: t[:len(t) - len(t) % width]))
+    seps = ["\n" if (i + 1) % width == 0 else "," for i in range(len(toks))]
+    fault = draw(st.sampled_from(["", "", "empty", "swap", "cut", "stray"]))
+    if fault in ("empty", "swap"):
+        at = draw(st.integers(0, len(toks) - 1))
+        if fault == "empty":
+            toks[at] = ""
+        else:
+            seps[at] = "," if seps[at] == "\n" else "\n"
+    body = "".join(map(str.__add__, toks, seps))
+    if fault == "cut":
+        body = body[:-1]
+    if fault == "stray":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from(" \r\tx,")) + body[at:]
+    return width, b"x,-\n" + body.encode()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_strict_bodies())
+def test_the_strict_scan_accepts_what_the_grammar_regex_matches(case):
+    width, data = case
+    want = _grammar_rows(data, 4, width)
+    for chunk in [mmio._CHUNK, 3, 1]:
+        with mock.patch.object(mmio, "_CHUNK", chunk):
+            assert mmio._strict_rows(data, 4, width) == want
 
 
 @pytest.mark.parametrize("fmt", ["matrixmarket", "csv"])
@@ -557,6 +606,57 @@ def test_saved_files_skip_the_python_conversion(tmp_path, fmt):
             B = load_matrix(p, format=fmt)
         assert B.shape == A.shape and B.flags.c_contiguous
         assert B.tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("fmt, shape", [("csv", (1, 20000)), ("matrixmarket", (20000, 1))])
+def test_a_line_longer_than_a_span_stays_on_the_strict_path(tmp_path, fmt, shape):
+    # one CSV row of about 380 KB is longer than mmio._CHUNK, so its span
+    # runs past the mark to the row's line break
+    A = rand(5).normal(size=shape)
+    p = tmp_path / "s.dat"
+    save_matrix(p, A, format=fmt)
+
+    def python_path(*args):
+        raise AssertionError("Python float conversion ran on a saved file")
+
+    with mock.patch.multiple(mmio, _reals=python_path, _array_by_line=python_path,
+                             _csv_by_line=python_path):
+        B = load_matrix(p, format=fmt)
+    assert B.tobytes() == A.tobytes() and B.shape == A.shape
+
+
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
+    "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n5\n",
+    "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4",
+    "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3",
+    "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n5",
+    "1,2\n3,4",
+    "1,2\n3",
+    "1,2\n3,4\n5",
+])
+def test_miscounted_or_unterminated_bodies_load_as_the_reference(tmp_path, text):
+    name = "a.mtx" if text.startswith(_MM_MAGIC) else "m.csv"
+    ref = _ref_parse_matrixmarket if name == "a.mtx" else _ref_parse_csv
+    p = tmp_path / name
+    p.write_text(text)
+    for chunk in _CHUNKS:
+        with mock.patch.object(mmio, "_CHUNK", chunk):
+            assert _outcome(load_matrix, p) == _outcome(ref, text, p)
+
+
+def test_zero_heavy_bodies_take_their_signs_a_span_at_a_time(tmp_path):
+    A = rand(6).normal(size=(800, 500))
+    zero = rand(7).random(A.shape) < 0.95
+    A[zero] = np.where(rand(8).random(A.shape) < 0.5, -0.0, 0.0)[zero]
+    p = tmp_path / "z.mtx"
+    save_matrix(p, A)
+    load_matrix(p)  # lazy imports first
+    B, peak = _traced_peak(load_matrix, p)
+    assert B.tobytes() == A.tobytes() and np.signbit(B[zero]).any()
+    # the bytes and the result (about 1.5 times the file) plus span-sized
+    # temporaries; a scan of the whole body at once peaked near 9 times
+    assert peak <= 4 * p.stat().st_size
 
 
 @pytest.mark.parametrize("fmt, ref", [("matrixmarket", _ref_parse_matrixmarket),
