@@ -20,8 +20,8 @@ b = A @ gen.standard_normal(n) + 0.1 * gen.standard_normal(m)
 p = RegressionProblem(A, b)
 
 t0 = time.perf_counter()
-# the builder walks far fewer steps than the formula's 225(n+1)/eps^2 = 8100
-# and certifies the plan it returns: kappa bounds the ratio on every run
+# the builder stops at its first certified round, far short of the formula's
+# 225(n+1)/eps^2 = 8100 steps: kappa bounds the ratio on every run
 core = build_coreset(p, eps, method="barrier")
 rep = evaluate_coreset(p, core)
 print(f"barrier coreset: {rep['distinct_rows']} distinct rows of {m}, "

@@ -11,8 +11,9 @@ The barrier coreset is certified per instance. Every A x - b lies in the
 span of an orthonormal basis U_Y of [A b], so a row sampling S whose
 distortion kappa = lambda_max / lambda_min of (S U_Y)^T (S U_Y) is at
 most 1 + eps gives a solution within kappa of the optimum under any
-constraint. The builder walks once and measures kappa at doubling
-checkpoints along the way, keeping the first plan that passes.
+constraint. The builder walks once, mostly two rows per round, screens
+kappa from each round's eigenvalues and keeps the first plan whose
+measured kappa confirms the screen.
 """
 
 import math
@@ -34,11 +35,8 @@ from .samplers import (_barrier_core, _embedding_kappa, _ortho_deviation,
 from .sketch import srht_rows
 
 _CONSTRAINTS = ("none", "nonnegative")
-# the barrier coreset's walk is first checked after
-# ceil(_FIRST_WALK rank([A b]) / eps^2) steps, 1/25 of the formula's; it is
-# not walked to a checkpoint past _MAX_WALK_PER_ROW m steps, since all m rows
-# at weight 1 (kappa = 1) answer at once
-_FIRST_WALK = 9.0
+# the barrier coreset's walk ends after _MAX_WALK_PER_ROW m steps, since all
+# m rows at weight 1 (kappa = 1) answer at once
 _MAX_WALK_PER_ROW = 16
 
 
@@ -90,9 +88,8 @@ class Coreset:
     A barrier coreset also carries its certificate: kappa, an upper end of
     the distortion of the plan on span([A b]) (samplers._embedding_kappa;
     1.0 for the all-rows answer, whose plan is noted "all-rows"); steps,
-    the barrier steps walked to the kept plan (to the last checkpoint, for
-    an all-rows answer after a walk; 0 where no walk started); and
-    checkpoints, the (steps, kappa) of every partial plan the walk
+    the barrier position of the kept plan (16 m for an all-rows answer);
+    and checkpoints, the (steps, kappa) of every partial plan the walk
     measured, in order. Other methods leave all three None.
     """
 
@@ -125,25 +122,26 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
     """Build a coreset whose LS solution is (1+eps)-good on the full data.
 
     barrier: deterministic and certified on every run. With U_Y the
-    orthonormal basis of [A b] that p factors once for all its coresets
-    and d = rank([A b]), one single-set barrier walk on U_Y runs with the
-    formula's r = ceil(225(n+1)/eps^2) as its parameter. After
-    w = ceil(9 d/eps^2) steps, 2w, 4w, ... and r, the distortion kappa of
-    its partial plan on span(U_Y) is measured (Coreset.kappa, with its
-    rounding margin), and the first plan with kappa <= 1 + eps is returned.
-    At r the barrier's sandwich ((1 + eps/15)/(1 - eps/15))^2 < 1 + eps
-    holds for every plan. Where the next checkpoint would pass 16 m steps,
-    the walk ends (or, with w > 16 m, never starts) and all m rows at
-    weight 1 are returned instead (kappa = 1, plan note "all-rows").
-    Coreset.steps is the kept checkpoint's step count, and
-    Coreset.checkpoints the (steps, kappa) of each one measured.
+    orthonormal basis of [A b] that p factors once for all its coresets,
+    one single-set barrier walk on U_Y runs with the formula's
+    r = ceil(225(n+1)/eps^2) as its parameter, mostly in rounds of two
+    rows per eigendecomposition (samplers._barrier_core). Each round's
+    eigenvalues give the distortion of its partial plan on span(U_Y);
+    where they pass 1 + eps, kappa is measured (Coreset.kappa, with its
+    rounding margin), and the first plan with kappa <= 1 + eps is
+    returned. At r the barrier's sandwich ((1 + eps/15)/(1 - eps/15))^2
+    < 1 + eps holds for every plan. A walk that reaches 16 m steps
+    unconfirmed ends there, and all m rows at weight 1 are returned
+    instead (kappa = 1, plan note "all-rows"). Coreset.steps is the kept
+    plan's barrier position, and Coreset.checkpoints the (steps, kappa) of
+    each plan measured.
     subspace: leverage sampling of the rows of U_Y,
     r = ceil(36(n+1) ln(2(n+1)/delta)/eps^2), holds w.p. >= 1-delta.
     srht: uniform sampling of Hadamard-mixed rows (no U_Y) with
     r = ceil(72(n+1) ln(2(n+1)/delta) log2(40(n+1)m)/eps^2), holds
     w.p. >= 0.95-delta. r_override replaces the formula count: a
-    barrier walk of exactly that many steps, at most 16 m, whose kappa is
-    reported but not checked (meant for desk-scale experiments).
+    barrier walk of exactly that many single steps, at most 16 m, whose
+    kappa is reported but not checked (meant for desk-scale experiments).
     """
     if not isinstance(p, RegressionProblem):
         raise ArgumentError("build_coreset expects a RegressionProblem")
@@ -196,46 +194,44 @@ def _barrier_plan(U_Y, eps, r, adaptive):
     """(plan, kappa, steps, checkpoints) of the barrier coreset on the m x d
     basis U_Y; checkpoints is the (steps, kappa) of every plan measured.
 
-    adaptive: one walk with parameter r, the formula's, whose partial plan
-    is measured after ceil(_FIRST_WALK d/eps^2) steps, twice that, ... and
-    after r steps; the first plan with kappa <= 1 + eps is kept. Where the
-    next checkpoint would pass _MAX_WALK_PER_ROW m steps, the walk ends and
-    all rows answer instead. Otherwise one walk of exactly r steps, kappa
-    measured but not checked.
+    adaptive: one walk with parameter r, the formula's, screened at every
+    round and ended by the first plan confirmed with kappa <= 1 + eps, or
+    after min(r, _MAX_WALK_PER_ROW m) steps, where its plan is measured
+    once more; past that many steps all rows answer instead. Otherwise one
+    walk of exactly r steps, kappa measured but not checked.
     """
     m, d = U_Y.shape
-    at = []
-    tau = min(formula_width(_FIRST_WALK * d, eps), r) if adaptive else r
-    while tau <= _MAX_WALK_PER_ROW * m:
-        at.append(tau)
-        if tau == r:
-            break
-        tau = min(2 * tau, r)
-    trail, steps = [], 0
-    if at:
-        dev = _ortho_deviation(U_Y)
+    dev = _ortho_deviation(U_Y)
+    trail, plan = [], None
 
-        def check(tau, s):
-            kappa = _embedding_kappa(U_Y, _plan_from_weights(s), dev)
-            trail.append((tau, kappa))
-            return kappa <= 1.0 + eps or tau == at[-1]
+    def check(tau, s):
+        nonlocal plan
+        plan = _plan_from_weights(s)
+        trail.append((tau, _embedding_kappa(U_Y, plan, dev)))
+        return trail[-1][1] <= 1.0 + eps
 
-        plan = _plan_from_weights(
-            _barrier_core(U_Y, r, U_Y, hook=(set(at), check)))
-        steps, kappa = trail[-1]
-        if steps > m:
-            # the walk runs fine past m steps and still emits at most m
-            # distinct rows, so a long walk only costs time
-            warnings.warn(
-                f"barrier walk of {steps} steps exceeds m={m} (at most m "
-                "distinct weighted rows come out)", stacklevel=3)
-        if not adaptive or kappa <= 1.0 + eps:
-            return plan, kappa, steps, tuple(trail)
-        if steps == r:
-            raise NumericError(
-                f"internal: the formula-size barrier walk (r={r}, rank {d}) "
-                f"has kappa={kappa!r} > 1+eps={1.0 + eps!r}, against the "
-                "barrier's sandwich bound")
+    if adaptive:
+        # the screen reads kappa from the walk's own eigenvalues, with room
+        # for their rounding; the check carries the certified margin. The
+        # walk ends at a check, so the last plan checked is the walk's
+        _barrier_core(U_Y, r, U_Y, screen=(
+            (1.0 + eps) * (1.0 + 1e-9), min(r, _MAX_WALK_PER_ROW * m), check))
+    else:
+        check(r, _barrier_core(U_Y, r, U_Y))
+    steps, kappa = trail[-1]
+    if steps > m:
+        # the walk runs fine past m steps and still emits at most m
+        # distinct rows, so a long walk only costs time
+        warnings.warn(
+            f"barrier walk of {steps} steps exceeds m={m} (at most m "
+            "distinct weighted rows come out)", stacklevel=3)
+    if not adaptive or kappa <= 1.0 + eps:
+        return plan, kappa, steps, tuple(trail)
+    if steps == r:
+        raise NumericError(
+            f"internal: the formula-size barrier walk (r={r}, rank {d}) "
+            f"has kappa={kappa!r} > 1+eps={1.0 + eps!r}, against the "
+            "barrier's sandwich bound")
     return (SamplingPlan(m, np.arange(m), 1.0, note="all-rows"), 1.0, steps,
             tuple(trail))
 

@@ -20,6 +20,7 @@ from .linalg import (_U, SamplingPlan, _gamma, _svd, as_matrix, pow2_scaled,
 
 _ORTHO_TOL = 1e-10
 _SCAN_BLOCK = 64  # rows in the first barrier scan block
+_BATCH = 2  # steps per round of a screened single-set barrier walk
 # the LAPACK gufunc behind np.linalg.eigh (lower triangle), without the
 # wrapper's argument checks and error-state context: the same call at about
 # half the cost on the barrier's k x k matrices; where LAPACK does not
@@ -170,7 +171,7 @@ def _is_identity(M):
             and bool((M.diagonal() == 1.0).all()))
 
 
-def _barrier_core(V, r, upper, hook=None, complement=False):
+def _barrier_core(V, r, upper, complement=False, screen=None):
     """Shared greedy loop; returns the merged, rescaled weights s (length n).
 
     upper is an n x ell matrix U for spectral control of ||U^T Omega S||_2
@@ -197,12 +198,12 @@ def _barrier_core(V, r, upper, hook=None, complement=False):
     blocks (_SCAN_BLOCK, 2x, 4x, ...) up to the first block holding a
     feasible row; a row's values do not depend on its block.
 
-    A step costs one k x k eigh and a few dozen numpy calls on one block,
+    A round costs one k x k eigh and a few dozen numpy calls on one block,
     so the loop keeps the calls few. The block views are cut once, and the
-    eigenvalue terms of a step fill the rows of one buffer
+    eigenvalue terms of a round of b steps fill the rows of one buffer
       G = [lam - L, d, d^2, e^2, e, U_tau - lam],
-    where (lam, W) = eigh(A), d = lam - L - 1 and e = c - lam; the last
-    three rows are kept on the single-set walk only. The row sums of 1/G
+    where (lam, W) = eigh(A), d = lam - L - b and e = U_tau + b dU - lam;
+    the last three rows are kept on the single-set walk only. The row sums of 1/G
     give both potential differences. With VW = (V W)^2 entrywise, one
     broadcast divide of VW by the middle rows of G and one sum give all
     the block's row sums: sum VW/d and sum VW/d^2 for the lower side, and
@@ -210,11 +211,23 @@ def _barrier_core(V, r, upper, hook=None, complement=False):
     Each sum takes the same floating-point operations in the same order as
     when it is taken on its own, so the grouping changes no bit.
 
-    hook, if given, is (steps, check): after each step tau in the set
-    steps, check(tau, s) is called with the weights of the walk so far,
-    rescaled as the return value is (by (1 - sqrt(k/r))/r, r the walk's
-    parameter); a true result ends the walk there and those weights are
-    returned. The hook changes no bit of the walk.
+    screen, if given, is (bound, stop, check): the walk ends after stop <= r
+    steps, and at each round whose eigenvalues of A (lam ascending) have
+    lam_1 > 0 and lam_k <= bound lam_1, and once more at stop, check(tau, s)
+    is called with the weights after tau steps, rescaled as the return
+    value is (by (1 - sqrt(k/r))/r); a true result ends the walk there and
+    those weights are returned. The check changes no bit of the walk.
+    A screened single-set walk takes rounds of b = _BATCH steps where
+    b <= sqrt(r/k) and tau + b <= stop: both barriers move b steps
+    (L + b, U_tau + b dU), only the first scan block is scored at that
+    shift, and its b smallest feasible rows are each added at weight t_i/b,
+    t_i = 2/(U_i + L_i) at the shift. Each single-row update A + t_i v v^T
+    keeps both barriers and both potentials by the shift-b lemmas of
+    Batson-Spielman-Srivastava, whose lower side needs Phi_L(A) <= 1/b;
+    Phi_L <= sqrt(k/r) throughout the walk, hence b <= sqrt(r/k). Both
+    potentials are convex, so the average of the b updates keeps them too.
+    A round with fewer than b feasible rows in the block, or with the
+    shifted lower barrier at an eigenvalue, walks one ordinary step.
     """
     n, k = V.shape
     if not (k < r):
@@ -235,6 +248,10 @@ def _barrier_core(V, r, upper, hook=None, complement=False):
         total = float(upper.sum())
         dU = total / shrink
         UF = upper / dU if total > 0 else np.zeros(n)
+    stop = r
+    if screen is not None:
+        bound, stop, check = screen
+    batch = _BATCH if screen is not None and same and _BATCH ** 2 * k <= r else 1
 
     # (lo, rows of V, live mask, upper side) for each scan block
     blocks = []
@@ -259,92 +276,109 @@ def _barrier_core(V, r, upper, hook=None, complement=False):
     s = np.zeros(n)
     scale = shrink / r
     A_acc = np.zeros((k, k))
-    for tau in range(int(r)):
-        # row-independent quantities: once per step
+    tau = 0
+    while tau < stop:
+        # row-independent quantities: once per round
         L = tau - sqrt_rk
         lam, W = _eigh(A_acc)
-        np.subtract(lam, L, out=gap)
-        np.subtract(lam, L + 1.0, out=d)
-        if not d.min() > 0:  # also a nan from an eigh that did not converge
-            raise NumericError("internal: lower barrier crossed")
-        np.multiply(d, d, out=d2)
-        if quadratic:
-            Uthr = dU * (tau + math.sqrt(ell * r))
-            c = Uthr + dU
-            if same:
-                np.subtract(c, lam, out=e)
-                np.subtract(Uthr, lam, out=gapU)
-                np.multiply(e, e, out=e2)
-            else:
-                P = np.flatnonzero(s)
-                x = np.sqrt(s[P])
-                Y = x[:, None] * upper[P]
-                nu, Q = _eigh(np.diag(x * x) - Y @ Y.T if complement else Y @ Y.T)
-                R = Y.T @ Q
-                e = c - nu
-            if not e.min(initial=math.inf) > 0:
-                raise NumericError("internal: upper barrier crossed")
-        inv_sums = np.divide(1.0, G, out=G_inv).sum(axis=1)
-        denomL = float(inv_sums[1] - inv_sums[0])
-        if denomL <= 0:
-            raise NumericError("internal: lower potential difference not positive")
-        if quadratic:
-            if same:
-                denomU = float(inv_sums[5] - inv_sums[4])
-            else:
-                denomU = (float((1.0 / (Uthr - nu)).sum() - (1.0 / e).sum())
-                          + (ell - nu.size) * (1.0 / Uthr - 1.0 / c))
-                w1 = 1.0 / (c * e)
-                w2 = (c + e) / (c * c * e * e)
-            if denomU <= 0:
-                raise NumericError("internal: upper potential difference not positive")
+        if (screen is not None and lam[0] > 0 and lam[-1] <= bound * lam[0]
+                and check(tau, s * scale)):
+            return s * scale
+        for b in (batch, 1) if 1 < batch <= stop - tau else (1,):
+            np.subtract(lam, L, out=gap)
+            np.subtract(lam, L + b, out=d)
+            if not d.min() > 0:  # also a nan from an eigh that did not converge
+                if b > 1:
+                    continue
+                raise NumericError("internal: lower barrier crossed")
+            np.multiply(d, d, out=d2)
+            if quadratic:
+                Uthr = dU * (tau + math.sqrt(ell * r))
+                c = Uthr + b * dU
+                if same:
+                    np.subtract(c, lam, out=e)
+                    np.subtract(Uthr, lam, out=gapU)
+                    np.multiply(e, e, out=e2)
+                else:
+                    P = np.flatnonzero(s)
+                    x = np.sqrt(s[P])
+                    Y = x[:, None] * upper[P]
+                    nu, Q = _eigh(np.diag(x * x) - Y @ Y.T if complement else Y @ Y.T)
+                    R = Y.T @ Q
+                    e = c - nu
+                if not e.min(initial=math.inf) > 0:
+                    raise NumericError("internal: upper barrier crossed")
+            inv_sums = np.divide(1.0, G, out=G_inv).sum(axis=1)
+            denomL = float(inv_sums[1] - inv_sums[0])
+            if denomL <= 0:
+                raise NumericError("internal: lower potential difference not positive")
+            if quadratic:
+                if same:
+                    denomU = float(inv_sums[5] - inv_sums[4])
+                else:
+                    denomU = (float((1.0 / (Uthr - nu)).sum() - (1.0 / e).sum())
+                              + (ell - nu.size) * (1.0 / Uthr - 1.0 / c))
+                    w1 = 1.0 / (c * e)
+                    w2 = (c + e) / (c * c * e * e)
+                if denomU <= 0:
+                    raise NumericError("internal: upper potential difference not positive")
 
-        # per-row values, block by block, up to the first feasible row
-        margin = math.inf
-        for lo, Vb, ok, side in blocks:
-            VW = Vb @ W
-            VW *= VW
-            sums = (VW / D_rows).sum(axis=2)
-            Lvals = sums[1] / denomL - sums[0]
-            if same:
-                Uvals = sums[2] / denomU + sums[3]
-            elif quadratic:
-                ub, Z2 = side[1], side[0] @ R
-                if complement:  # z^2 = (W R - x Q in rows P)^2
-                    a, b = np.searchsorted(P, (lo, lo + ub.size))
-                    Z2[P[a:b] - lo] -= x[a:b, None] * Q[a:b]
-                Z2 *= Z2
-                Uvals = (ub / (c * c) + Z2 @ w2) / denomU + (ub / c + Z2 @ w1)
-            else:
-                Uvals = side
+            # per-row values, block by block, up to the first feasible row
+            # (at a shift b > 1, the first block only)
+            margin = math.inf
+            for lo, Vb, ok, side in blocks[:1] if b > 1 else blocks:
+                VW = Vb @ W
+                VW *= VW
+                sums = (VW / D_rows).sum(axis=2)
+                Lvals = sums[1] / denomL - sums[0]
+                if same:
+                    Uvals = sums[2] / denomU + sums[3]
+                elif quadratic:
+                    ub, Z2 = side[1], side[0] @ R
+                    if complement:  # z^2 = (W R - x Q in rows P)^2
+                        j0, j1 = np.searchsorted(P, (lo, lo + ub.size))
+                        Z2[P[j0:j1] - lo] -= x[j0:j1, None] * Q[j0:j1]
+                    Z2 *= Z2
+                    Uvals = (ub / (c * c) + Z2 @ w2) / denomU + (ub / c + Z2 @ w1)
+                else:
+                    Uvals = side
 
-            # feasible: live, U <= L + 1e-9 max(1, |L|) and U + L > 0
-            bar = np.abs(Lvals)
-            np.maximum(bar, 1.0, out=bar)
-            bar *= 1e-9
-            bar += Lvals
-            feas = Uvals <= bar
-            feas &= ok
-            total_UL = Uvals + Lvals
-            feas &= total_UL > 0
-            i = int(feas.argmax())  # smallest feasible index, if any
-            if feas[i]:
-                break
-            margin = np.minimum(  # keeps a nan
-                margin, np.min(Uvals - Lvals, where=ok, initial=math.inf))
-        else:
-            raise InfeasibleStepError(
-                tau, float(margin), "check that the input columns are orthonormal")
-        t = 2.0 / total_UL[i]
-        if not (t > 0 and math.isfinite(t)):
-            raise InfeasibleStepError(tau, t, "nonpositive or non-finite weight")
-        s[lo + i] += t
-        v = Vb[i]
-        A_acc += t * (v[:, None] * v)
-        if (hook is not None and tau + 1 in hook[0]
-                and hook[1](tau + 1, s * scale)):
+                # feasible: live, U <= L + 1e-9 max(1, |L|) and U + L > 0
+                bar = np.abs(Lvals)
+                np.maximum(bar, 1.0, out=bar)
+                bar *= 1e-9
+                bar += Lvals
+                feas = Uvals <= bar
+                feas &= ok
+                total_UL = Uvals + Lvals
+                feas &= total_UL > 0
+                if b > 1:
+                    picks = np.flatnonzero(feas)[:b]
+                    break
+                i = int(feas.argmax())  # smallest feasible index, if any
+                if feas[i]:
+                    picks = (i,)
+                    break
+                margin = np.minimum(  # keeps a nan
+                    margin, np.min(Uvals - Lvals, where=ok, initial=math.inf))
+            else:
+                raise InfeasibleStepError(
+                    tau, float(margin), "check that the input columns are orthonormal")
+            if len(picks) < b:
+                continue
+            for i in picks:
+                t = 2.0 / total_UL[i]
+                if not (t > 0 and math.isfinite(t)):
+                    raise InfeasibleStepError(tau, t, "nonpositive or non-finite weight")
+                t /= b
+                s[lo + i] += t
+                v = Vb[i]
+                A_acc += t * (v[:, None] * v)
+            tau += b
             break
 
+    if screen is not None:
+        check(tau, s * scale)
     return s * scale
 
 

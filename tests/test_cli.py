@@ -13,6 +13,7 @@ import pytest
 import matsketch
 from matsketch import save_matrix
 from matsketch.cli import determinism_hash, main
+from matsketch.samplers import _barrier_core
 from matsketch.synthetic import blobs, lowrank_plus_noise
 
 from conftest import rand, src_env
@@ -70,7 +71,7 @@ def test_coreset_barrier_example(capsys):
     assert trial["satisfied"] is True
     # the certificate: a walk far shorter than the formula's 3600 steps
     assert trial["ratio"] <= trial["kappa"] <= 1.5
-    assert 144 <= trial["steps"] < 3600 and trial["note"] == ""
+    assert trial["distinct_rows"] <= trial["steps"] < 3600 and trial["note"] == ""
     # the trail ends at the kept checkpoint; every earlier one failed
     *failed, kept = trial["checkpoints"]
     assert kept == [trial["steps"], trial["kappa"]]
@@ -78,20 +79,27 @@ def test_coreset_barrier_example(capsys):
 
 
 def test_coreset_barrier_bounded_work(capsys, monkeypatch):
-    # eps = 0.01 puts even the first checkpoint (360000 steps) past
-    # 16 m = 640 on this 40-row input: all rows answer, and no walk starts
+    # eps = 0.01 never certifies a strict subset of this 40-row input before
+    # 16 m = 640 steps: the walk ends there, far short of the formula's
+    # 9000000, and all rows answer
     from matsketch import regression
 
-    def no_walk(*args):
-        raise AssertionError("a barrier walk was started")
+    stops = []
 
-    monkeypatch.setattr(regression, "_barrier_core", no_walk)
-    code, rep = run_cli(capsys, "coreset", "--method", "barrier",
-                        "--eps", "0.01", *_CORESET_INPUT)
+    def bounded(V, r, upper, screen):
+        stops.append((r, screen[1]))
+        return _barrier_core(V, r, upper, screen=screen)
+
+    monkeypatch.setattr(regression, "_barrier_core", bounded)
+    with pytest.warns(UserWarning, match="640 steps exceeds m=40"):
+        code, rep = run_cli(capsys, "coreset", "--method", "barrier",
+                            "--eps", "0.01", *_CORESET_INPUT)
     assert code == 0
+    assert stops == [(9_000_000, 640)]
     trial = rep["results"]["per_trial"][0]
-    assert (trial["kappa"], trial["steps"], trial["note"]) == (1.0, 0, "all-rows")
-    assert trial["checkpoints"] == []
+    assert (trial["kappa"], trial["steps"], trial["note"]) == (1.0, 640, "all-rows")
+    assert [t for t, _ in trial["checkpoints"]][-1] == 640
+    assert all(kappa > 1.01 for _, kappa in trial["checkpoints"])
     assert trial["rows"] == trial["distinct_rows"] == 40
     assert trial["ratio"] == 1.0
 

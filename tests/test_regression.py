@@ -270,30 +270,40 @@ def test_coreset_larger_than_data_is_refused():
 
 
 def test_barrier_coreset_warns_when_formula_exceeds_rows():
+    # eps = 0.05: the first plan certified on these 100 rows is 188 steps in
     p = _problem(100, 3, 11)
-    with pytest.warns(UserWarning):
-        c = build_coreset(p, 0.5, method="barrier")
+    with pytest.warns(UserWarning, match="188 steps exceeds m=100"):
+        c = build_coreset(p, 0.05, method="barrier")
+    assert c.steps == 188 and c.kappa <= 1.05
     assert evaluate_coreset(p, c)["ratio"] >= 1 - 1e-10
 
 
 class _Walks:
     """Stands in for regression._barrier_core: records each walk's
-    parameter r and every step its hook checks, and runs the walk."""
+    parameter r and end, and every step its check sees, and runs the walk."""
 
     def __init__(self):
-        self.calls, self.checked = [], []
+        self.calls, self.stops, self.checked = [], [], []
 
-    def __call__(self, V, r, upper, hook=None):
-        steps, check = hook
+    def __call__(self, V, r, upper, screen=None):
         self.calls.append(r)
+        if screen is None:
+            self.returned = _barrier_core(V, r, upper)
+            return self.returned
+        bound, stop, check = screen
+        self.stops.append(stop)
 
         def recording(tau, s):
             self.checked.append(tau)
             self.last_checked = s
             return check(tau, s)
 
-        self.returned = _barrier_core(V, r, upper, hook=(steps, recording))
+        self.returned = _barrier_core(V, r, upper, screen=(bound, stop, recording))
         return self.returned
+
+    def one_walk(self):
+        """The checked steps only increase: no walk restarts."""
+        return bool((np.diff(self.checked) > 0).all())
 
 
 def _kappa_fails_below(walks, r):
@@ -305,37 +315,37 @@ def _kappa_fails_below(walks, r):
 
 def test_barrier_coreset_schedule_and_all_rows_answer(monkeypatch):
     # m = 100, d = 4, eps = 0.5: one walk with the formula's r = 3600,
-    # checked after 144, 288, 576 and 1152 steps; the next checkpoint (2304)
-    # would pass 16 m = 1600, so the walk ends there and all rows come back
-    # at weight 1
+    # checked at every round that passes the screen; with no check passing
+    # it ends at 16 m = 1600 steps, and all rows come back at weight 1
     p = _problem(100, 3, 11)
     walks = _Walks()
     monkeypatch.setattr(regression, "_barrier_core", walks)
     monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: math.inf)
-    with pytest.warns(UserWarning, match="1152 steps exceeds m=100"):
+    with pytest.warns(UserWarning, match="1600 steps exceeds m=100"):
         c = build_coreset(p, 0.5, method="barrier")
-    assert walks.calls == [3600]
-    assert walks.checked == [144, 288, 576, 1152]
-    assert np.array_equal(walks.returned, walks.last_checked)  # ended at 1152
-    assert (c.kappa, c.steps, c.plan.note) == (1.0, 1152, "all-rows")
+    assert (walks.calls, walks.stops) == ([3600], [1600])
+    assert walks.checked[-1] == 1600 and walks.one_walk()
+    assert len(walks.checked) > 100  # screened at (nearly) every round
+    assert np.array_equal(walks.returned, walks.last_checked)  # ended at 1600
+    assert (c.kappa, c.steps, c.plan.note) == (1.0, 1600, "all-rows")
     assert c.checkpoints == tuple((t, math.inf) for t in walks.checked)
     assert c.plan.indices.tolist() == list(range(100))
     assert (c.plan.weights == 1.0).all()
     rep = evaluate_coreset(p, c)
     assert rep["ratio"] == pytest.approx(1.0, abs=1e-12)
-    assert (rep["kappa"], rep["steps"], rep["note"]) == (1.0, 1152, "all-rows")
+    assert (rep["kappa"], rep["steps"], rep["note"]) == (1.0, 1600, "all-rows")
     assert rep["checkpoints"] == c.checkpoints
 
 
 def test_barrier_coreset_warns_only_past_m_steps(monkeypatch):
-    # m = 300 is below the formula's r = 3600, but the walk stops at a
-    # checkpoint below m, so nothing is walked past m
+    # m = 300 is below the formula's r = 3600, but the walk stops at its
+    # first screened round, far below m, so nothing is walked past m
     p = _problem(300, 3, 11)
     monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         c = build_coreset(p, 0.5, method="barrier")
-    assert c.steps == 144
+    assert c.steps == 10 and c.checkpoints == ((10, 1.0),)
 
 
 def test_default_barrier_build_walks_once(monkeypatch):
@@ -345,17 +355,21 @@ def test_default_barrier_build_walks_once(monkeypatch):
     walks = _Walks()
     monkeypatch.setattr(regression, "_barrier_core", walks)
     monkeypatch.setattr(regression, "_embedding_kappa",
-                        _kappa_fails_below(walks, 576))
+                        _kappa_fails_below(walks, 100))
     c = build_coreset(p, 0.5, method="barrier")
-    assert walks.calls == [3600]
-    assert walks.checked == [144, 288, 576]
-    assert c.steps == 576 and c.kappa <= 1.5
-    assert [t for t, _ in c.checkpoints] == [144, 288, 576]
-    assert np.array_equal(walks.returned, walks.last_checked)  # ended at 576
+    assert walks.calls == [3600] and walks.one_walk()
+    assert c.steps == walks.checked[-1] and 100 <= c.steps <= 101
+    assert c.kappa <= 1.5
+    assert [t for t, _ in c.checkpoints] == walks.checked
+    assert all(kappa == math.inf for _, kappa in c.checkpoints[:-1])
+    assert np.array_equal(walks.returned, walks.last_checked)  # ended there
 
 
 @pytest.mark.parametrize("upper", ["same", "matrix", "vector"])
 def test_hook_that_never_accepts_changes_no_bit_of_the_walk(upper):
+    # a check offered the plan at every round that accepts none changes no
+    # bit: the single-set walk (in rounds of two) ends as under a screen
+    # that never passes, every other walk as with no screen at all
     U = svd(rand(21).normal(size=(200, 4))).U
     side = {"same": U, "matrix": svd(rand(22).normal(size=(200, 3))).U,
             "vector": rand(23).uniform(size=200)}[upper]
@@ -365,24 +379,30 @@ def test_hook_that_never_accepts_changes_no_bit_of_the_walk(upper):
         seen.append((tau, s))
         return False
 
-    got = _barrier_core(U, r, side, hook=(set(range(1, r + 1)), never))
-    want = _barrier_core(U, r, side)
+    got = _barrier_core(U, r, side, screen=(math.inf, r, never))
+    if upper == "same":
+        want = _barrier_core(U, r, side, screen=(0.0, r, lambda *a: False))
+    else:
+        want = _barrier_core(U, r, side)
     assert np.array_equal(got, want)
-    assert [t for t, _ in seen] == list(range(1, r + 1))
+    taus = [t for t, _ in seen]
+    assert taus[-1] == r and (np.diff(taus) > 0).all()
+    assert len(taus) > r // 3  # offered at (nearly) every round
     assert np.array_equal(seen[-1][1], want)
 
 
 def test_benchmark_shape_is_certified_in_one_360_step_walk():
     # the 2000 x 4 nonnegative problem of the coreset-barrier benchmark at
-    # seed 1: its plan after 180 steps has kappa 1.51 > 1.5, and the same
-    # walk passes at 360 (restarting it walked 180 + 360 steps)
+    # seed 1: checked only at 180 and 360 steps, its walk was kept at 360;
+    # screened at every round, it is certified 30 steps in
     g = np.random.default_rng([1, 1])
     A = g.standard_normal((2000, 4))
     b = A @ g.standard_normal(4) + 0.1 * g.standard_normal(2000)
     c = build_coreset(RegressionProblem(A, b, "nonnegative"), 0.5)
-    assert c.steps == 360 and c.kappa <= 1.5
-    assert [t for t, _ in c.checkpoints] == [180, 360]
-    assert c.checkpoints[0][1] > 1.5
+    assert c.steps == 30 and c.kappa <= 1.5
+    *failed, kept = c.checkpoints
+    assert kept == (30, c.kappa)
+    assert all(kappa > 1.5 for _, kappa in failed)
 
 
 @pytest.mark.filterwarnings("ignore:barrier walk")
@@ -394,14 +414,18 @@ def test_barrier_coreset_formula_walk_failing_its_check_is_internal(monkeypatch)
 
 
 def test_r_override_walks_exactly_and_reports_kappa(monkeypatch):
+    # -r walks exactly r single steps, unscreened, and measures the end once
     p = _problem(300, 2, 13)
     walks = _Walks()
     monkeypatch.setattr(regression, "_barrier_core", walks)
     monkeypatch.setattr(regression, "_embedding_kappa", lambda *a: 1e6)
     c = build_coreset(p, 0.1, method="barrier", r_override=40)
-    assert (walks.calls, walks.checked) == ([40], [40])
+    assert (walks.calls, walks.stops, walks.checked) == ([40], [], [])
     assert (c.kappa, c.steps, c.plan.note) == (1e6, 40, "")
     assert c.checkpoints == ((40, 1e6),)
+    want = _plan_from_weights(walks.returned)
+    assert np.array_equal(c.plan.indices, want.indices)
+    assert np.array_equal(c.plan.weights, want.weights)
 
 
 class _NoWalk(Exception):
@@ -414,7 +438,7 @@ def test_r_override_past_16_m_steps_is_refused_before_any_walk(monkeypatch):
     p = _problem(300, 2, 13)
     started = []
 
-    def recording(V, r, upper, hook=None):
+    def recording(V, r, upper, screen=None):
         started.append(r)
         raise _NoWalk
 
@@ -461,17 +485,26 @@ def test_default_barrier_coreset_is_certified(p, eps):
         warnings.simplefilter("ignore")
         c = build_coreset(p, eps, method="barrier")
     assert c.kappa <= 1 + eps
-    assert c.steps <= min(coreset_size("barrier", n, eps, 0.1, m), 16 * m)
+    rep = evaluate_coreset(p, c)
+    r = coreset_size("barrier", n, eps, 0.1, m)
+    assert rep["distinct_rows"] <= c.steps <= min(r, 16 * m)
     assert (c.plan.note == "all-rows") == (c.kappa == 1.0 and len(c.plan) == p.A.shape[0])
-    assert evaluate_coreset(p, c)["ratio"] <= 1 + eps + 1e-9
+    assert rep["ratio"] <= 1 + eps + 1e-9
+    # the kept plan is the first certified one: every check before it failed
+    *failed, last = c.checkpoints
+    assert all(kappa > 1 + eps for _, kappa in failed)
+    if c.plan.note == "all-rows":
+        assert last == (16 * m, last[1]) and last[1] > 1 + eps
+    else:
+        assert last == (c.steps, c.kappa)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(p=_tall_problems(), eps=st.sampled_from([0.6, 0.9]))
 def test_failed_checks_end_in_the_formula_plan(p, eps):
-    # with kappa failing at every checkpoint before r, the one walk ends in
-    # the formula-size plan (or, past 16 m steps, in all rows)
+    # with kappa failing at every check before r, the one walk ends in the
+    # formula-size plan of its rounds of two (or, at 16 m steps, in all rows)
     m, n = p.A.shape
     U = svd(np.column_stack([p.A, p.b])).U
     r = coreset_size("barrier", n, eps, 0.1, m)
@@ -481,13 +514,13 @@ def test_failed_checks_end_in_the_formula_plan(p, eps):
         mp.setattr(regression, "_barrier_core", walks)
         mp.setattr(regression, "_embedding_kappa", _kappa_fails_below(walks, r))
         c = build_coreset(p, eps, method="barrier")
-    assert walks.calls == [r]
-    assert c.steps == walks.checked[-1] <= 16 * m
+    assert walks.calls == [r] and walks.one_walk()
+    assert c.steps == walks.checked[-1] == min(r, 16 * m)
     if r > 16 * m:
         assert c.plan.note == "all-rows"
         return
-    assert c.steps == r
-    want = _plan_from_weights(_barrier_core(U, r, U))
+    want = _plan_from_weights(
+        _barrier_core(U, r, U, screen=(0.0, r, lambda *a: False)))
     assert np.array_equal(c.plan.indices, want.indices)
     assert np.array_equal(c.plan.weights, want.weights)
 

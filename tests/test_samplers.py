@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from matsketch import (ArgumentError, InfeasibleStepError, NumericError,
                        RankError, additive_sampling, adaptive_sampling,
@@ -655,6 +657,40 @@ def test_barrier_infeasible_step_matches_reference():
     V[-1] *= 5.0
     for upper in (np.ones(n), random_orthonormal(n, 3, seed=33)):
         assert isinstance(_same_outcome(V, r, upper), InfeasibleStepError)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_rounds_of_b_rows_keep_the_barrier_invariant(data):
+    # a round adds b rows at weight t_i / b, the average of b single-row
+    # updates that the shift-b lemmas allow while b <= sqrt(r/k): after
+    # every round both barriers hold, and no round of b raises a potential.
+    # A single step is not held to the last: its scan admits U(v) up to
+    # L(v) + 1e-9 max(1, |L(v)|), which can raise a potential slightly
+    n, k = data.draw(st.integers(20, 400)), data.draw(st.integers(1, 5))
+    r = data.draw(st.integers(4 * k, 4 * n))
+    b = data.draw(st.integers(2, math.isqrt(r // k)))
+    V = random_orthonormal(n, k, seed=data.draw(st.integers(0, 2**32 - 1)))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samplers, "_BATCH", b)
+        _barrier_core(V, r, V, screen=(
+            math.inf, r, lambda tau, s: seen.append((tau, s))))
+    assert seen[-1][0] == r
+    sqrt_rk, shrink = math.sqrt(r * k), 1.0 - math.sqrt(k / r)
+    dU = (1.0 + math.sqrt(k / r)) / shrink
+    # both potentials at A = 0, then after every round with lam_min(A) > 0
+    last, prev = 0, (k / sqrt_rk, k / (dU * sqrt_rk))
+    for tau, s in seen:
+        lam = np.linalg.eigvalsh((V.T * (s * r / shrink)) @ V)
+        lo, hi = tau - sqrt_rk, dU * (tau + sqrt_rk)
+        assert lam[0] > lo and lam[-1] < hi
+        pot = ((1.0 / (lam - lo)).sum(), (1.0 / (hi - lam)).sum())
+        if tau - last == b:
+            assert pot[0] <= prev[0] * (1 + 1e-12)
+            assert pot[1] <= prev[1] * (1 + 1e-12)
+        last, prev = tau, pot
 
 
 def test_eigh_gufunc_matches_numpy_eigh():
