@@ -21,7 +21,7 @@ from . import __version__, rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .cx import (cssp, cx_frobenius, cx_spectral, interpolative_decomposition,
                  lower_bound_instance)
-from .errors import ArgumentError, MatsketchError
+from .errors import ArgumentError, DataFormatError, MatsketchError
 from .kmeans import kmeans_cost, lloyd, reduce_features
 from .linalg import (ColumnProblem, _norms, _pow2_unscaled, _ratio,
                      _residual, _within, frobenius_norm, pow2_scaled,
@@ -93,7 +93,8 @@ def _build_parser():
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("-r", type=int, default=None,
                    help="override the formula coreset size")
-    p.add_argument("--mode", default="none", choices=["none", "nonnegative"],
+    p.add_argument("--mode", dest="constraint", default="none",
+                   choices=["none", "nonnegative"],
                    help="constraint set for the LS solves")
     io_flags(p)
 
@@ -152,6 +153,11 @@ def _parse_synthetic(spec, seed):
 
 def _load_input(args):
     """-> (matrix, source string)."""
+    if args.command == "lowerbound":  # a fixed instance: no file, no seed
+        n, r, alpha = args.n, args.r, args.alpha
+        if not (1 <= r < n):
+            raise ArgumentError(f"need 1 <= r < n, got r={r}, n={n}")
+        return lower_bound_instance(n, alpha), f"lowerbound:{n},{alpha}"
     if args.infile and args.synthetic:
         raise ArgumentError("pass --in or --synthetic, not both")
     if args.infile:
@@ -204,101 +210,82 @@ def determinism_hash(report):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _trial_seeds(seed, trials):
-    return [int(rng.derive_seed(seed, rng.TRIAL, i)) for i in range(trials)]
-
-
-def _one_trial_if(deterministic, trials, flag):
-    # a deterministic run gives the same answer on every trial
-    if deterministic and trials > 1:
-        raise ArgumentError(f"{flag} is deterministic and runs one trial, "
-                            f"got --trials {trials}")
+def _trials(args, one, deterministic=False):
+    """The records of `one(seed)` over the trial seeds, each tagged with
+    its seed; a deterministic run has one trial."""
+    seeds = ([args.seed] if deterministic else
+             [int(rng.derive_seed(args.seed, rng.TRIAL, i))
+              for i in range(args.trials)])
+    return [{"algorithm_seed": "deterministic" if deterministic else s,
+             **one(s)} for s in seeds]
 
 
 # ---------------------------------------------------------------- runners
+# Each takes the parsed flags and the input matrix and returns
+# (algorithm, (rows, cols) of the input it ran on, results block).
 
-def _run_cx(args):
+def _run_cx(args, A):
     deterministic = args.mode == "deterministic"
-    _one_trial_if(deterministic, args.trials, "--mode deterministic")
-    A, source = _load_input(args)
     p = ColumnProblem(A)
     fn = cx_spectral if args.norm == "spectral" else cx_frobenius
-    seeds = ([args.seed] if deterministic
-             else _trial_seeds(args.seed, args.trials))
-    per = []
-    for s in seeds:
-        res = fn(p, args.k, args.r, mode=args.mode, seed=s)
+    res = None
+
+    def one(seed):
+        nonlocal res
+        res = fn(p, args.k, args.r, mode=args.mode, seed=seed)
         err = (res.rank_k_error_spectral if args.norm == "spectral"
                else res.rank_k_error_frobenius)
-        per.append({"algorithm_seed": "deterministic" if deterministic else s,
-                    "error": err, "ratio": _ratio(err, res.baseline_sigma, p.e),
-                    "columns_picked": len(res.plan)})
+        return {"error": err, "ratio": _ratio(err, res.baseline_sigma, p.e),
+                "columns_picked": len(res.plan)}
+
+    per = _trials(args, one, deterministic)
     errs = [e["error"] for e in per]
     mean_err = sum(errs) / len(errs)
     satisfied = all(_within(x, res.bound_value, p.e)
                     for x in (errs if deterministic else [mean_err]))
-    return {
-        "algorithm": fn.__name__,
-        "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
-                  "seed": args.seed},
-        "params": {"k": args.k, "r": args.r, "mode": args.mode,
-                   "norm": args.norm, "trials": args.trials},
-        "results": {
-            "bound_value": res.bound_value,
-            "bound_formula": res.bound_formula,
-            "bound_kind": "per-instance" if deterministic else "expectation",
-            "baseline": res.baseline_sigma,
-            "mean_error": mean_err,
-            "mean_ratio": _finite_mean([e["ratio"] for e in per]),
-            "mean_sq_ratio": _finite_mean([e["ratio"] ** 2 for e in per]),
-            "satisfied": bool(satisfied),
-            "per_trial": per,
-        },
+    return fn.__name__, A.shape, {
+        "bound_value": res.bound_value,
+        "bound_formula": res.bound_formula,
+        "bound_kind": "per-instance" if deterministic else "expectation",
+        "baseline": res.baseline_sigma,
+        "mean_error": mean_err,
+        "mean_ratio": _finite_mean([e["ratio"] for e in per]),
+        "mean_sq_ratio": _finite_mean([e["ratio"] ** 2 for e in per]),
+        "satisfied": bool(satisfied),
+        "per_trial": per,
     }
 
 
-def _run_cssp(args):
-    A, source = _load_input(args)
+def _run_cssp(args, A):
     p = ColumnProblem(A)
-    seeds = _trial_seeds(args.seed, args.trials)
-    per = []
-    bound_value = bound_formula = baseline = None
-    for s in seeds:
+    bound = {"bound_value": None, "bound_formula": None, "baseline": None}
+
+    def one(seed):
         try:
-            res = cssp(p, args.k, mode=args.mode, delta=args.delta, seed=s)
+            res = cssp(p, args.k, mode=args.mode, delta=args.delta, seed=seed)
         except MatsketchError as e:
-            per.append({"algorithm_seed": s,
-                        "failed": f"{type(e).__name__}: {e}"})
-            continue
-        bound_value, bound_formula, baseline = (
-            res.bound_value, res.bound_formula, res.baseline_sigma)
+            return {"failed": f"{type(e).__name__}: {e}"}
+        bound.update(bound_value=res.bound_value,
+                     bound_formula=res.bound_formula,
+                     baseline=res.baseline_sigma)
         err = (res.rank_k_error_spectral if res.norm == "spectral"
                else res.rank_k_error_frobenius)
-        per.append({"algorithm_seed": s, "error": err,
-                    "ratio": _ratio(err, res.baseline_sigma, p.e),
-                    "columns": res.plan.indices.tolist(),
-                    "satisfied": _within(err, res.bound_value, p.e)})
+        return {"error": err, "ratio": _ratio(err, res.baseline_sigma, p.e),
+                "columns": res.plan.indices.tolist(),
+                "satisfied": _within(err, res.bound_value, p.e)}
+
+    per = _trials(args, one)
     ok = [e for e in per if e.get("satisfied")]
     errs = [e["error"] for e in per if "error" in e]
-    return {
-        "algorithm": "cssp",
-        "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
-                  "seed": args.seed},
-        "params": {"k": args.k, "mode": args.mode, "delta": args.delta,
-                   "trials": args.trials},
-        "results": {
-            "bound_value": bound_value,
-            "bound_formula": bound_formula,
-            "baseline": baseline,
-            "mean_error": sum(errs) / len(errs) if errs else None,
-            "success_fraction": len(ok) / args.trials,
-            "per_trial": per,
-        },
+    return "cssp", A.shape, {
+        **bound,
+        "mean_error": sum(errs) / len(errs) if errs else None,
+        "success_fraction": len(ok) / args.trials,
+        "per_trial": per,
     }
 
 
-def _run_id(args):
-    A, source = _load_input(args)
+def _run_id(args, A):
     p = ColumnProblem(A)
     C, X, plan = interpolative_decomposition(p, args.k, seed=args.seed)
     k, n = args.k, A.shape[1]
@@ -307,29 +294,23 @@ def _run_id(args):
     baseline = _pow2_unscaled(p.baseline(k, "spectral"), p.e)
     bound = 4.0 * math.sqrt(4.0 * k * (n - k) + 1.0) * baseline
     xs = np.linalg.svd(X, compute_uv=False)
-    return {
-        "algorithm": "interpolative_decomposition",
-        "input": {"rows": A.shape[0], "cols": n, "source": source,
-                  "seed": args.seed},
-        "params": {"k": k, "trials": 1},
-        "results": {
-            "columns": sel.tolist(),
-            "identity_block_exact": bool(np.array_equal(X[:, sel], np.eye(k))),
-            "max_abs_entry": float(np.abs(X).max()),
-            "coefficient_norm": float(xs[0]),
-            "coefficient_norm_bound": math.sqrt(4.0 * k * (n - k)) + 1.0,
-            "sigma_min": float(xs[-1]),
-            "spectral_error": err,
-            "bound_value": bound,
-            "bound_formula": "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}",
-            "baseline": baseline,
-            "ratio": _ratio(err, baseline, p.e),
-        },
+    return "interpolative_decomposition", A.shape, {
+        "columns": sel.tolist(),
+        "identity_block_exact": bool(np.array_equal(X[:, sel], np.eye(k))),
+        "max_abs_entry": float(np.abs(X).max()),
+        "coefficient_norm": float(xs[0]),
+        "coefficient_norm_bound": math.sqrt(4.0 * k * (n - k)) + 1.0,
+        "sigma_min": float(xs[-1]),
+        "spectral_error": err,
+        "bound_value": bound,
+        "bound_formula": "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}",
+        "baseline": baseline,
+        "ratio": _ratio(err, baseline, p.e),
     }
 
 
-def _coreset_problem(args):
-    A, source = _load_input(args)
+def _run_coreset(args, A):
+    deterministic = args.method == "barrier"
     if args.infile:  # the file holds [A | b]
         if A.shape[1] < 2:
             raise ArgumentError(
@@ -340,155 +321,113 @@ def _coreset_problem(args):
         bx = A @ gen.standard_normal(A.shape[1])
         b = bx + 0.05 * (np.linalg.norm(bx) / math.sqrt(A.shape[0])) \
             * gen.standard_normal(A.shape[0])
-    return RegressionProblem(A, b, constraint=args.mode), source
-
-
-def _run_coreset(args):
-    deterministic = args.method == "barrier"
-    _one_trial_if(deterministic, args.trials, "--method barrier")
-    p, source = _coreset_problem(args)
+    p = RegressionProblem(A, b, constraint=args.constraint)
     m, n = p.A.shape
-    seeds = ([args.seed] if deterministic
-             else _trial_seeds(args.seed, args.trials))
     try:
         r_formula = coreset_size(args.method, n, args.eps, args.delta, m)
     except ArgumentError:
         if args.r is None:  # the build needs the formula count
             raise
         r_formula = None  # -r replaces it; only the report reads it
-    per = []
-    for s in seeds:
+    # what a trial keeps of its evaluation; only a barrier trial has a walk
+    keep = ["ratio", "distinct_rows", "kappa", "steps", "note",
+            "full_solve_seconds", "coreset_solve_seconds"]
+    if deterministic:
+        keep.append("checkpoints")
+
+    def one(seed):
         c = build_coreset(p, args.eps, method=args.method, delta=args.delta,
-                          seed=s, r_override=args.r)
+                          seed=seed, r_override=args.r)
         rep = evaluate_coreset(p, c)
-        trial = {
-            "algorithm_seed": "deterministic" if deterministic else s,
-            "ratio": rep["ratio"],
-            "rows": rep["coreset_rows"],
-            "distinct_rows": rep["distinct_rows"],
-            "satisfied": _within(rep["ratio"], 1.0 + args.eps),
-            "kappa": rep["kappa"],
-            "steps": rep["steps"],
-            "note": rep["note"],
-            "full_solve_seconds": rep["full_solve_seconds"],
-            "coreset_solve_seconds": rep["coreset_solve_seconds"],
-        }
-        if deterministic:  # only a barrier trial has a walk to show
-            trial["checkpoints"] = rep["checkpoints"]
-        per.append(trial)
-    return {
-        "algorithm": "build_coreset",
-        "input": {"rows": m, "cols": n, "source": source, "seed": args.seed},
-        "params": {"method": args.method, "eps": args.eps, "delta": args.delta,
-                   "r": args.r, "constraint": args.mode,
-                   "trials": args.trials},
-        "results": {
-            "r_formula": r_formula,
-            "bound_value": 1.0 + args.eps,
-            "bound_formula": "(1+eps)*||A x_opt - b||^2 on the squared objective",
-            "bound_kind": "per-instance" if deterministic else "probabilistic",
-            "mean_ratio": _finite_mean([e["ratio"] for e in per]),
-            "success_fraction": sum(e["satisfied"] for e in per) / args.trials,
-            "per_trial": per,
-        },
+        return {"rows": rep["coreset_rows"],
+                "satisfied": _within(rep["ratio"], 1.0 + args.eps),
+                **{k: rep[k] for k in keep}}
+
+    per = _trials(args, one, deterministic)
+    return "build_coreset", (m, n), {
+        "r_formula": r_formula,
+        "bound_value": 1.0 + args.eps,
+        "bound_formula": "(1+eps)*||A x_opt - b||^2 on the squared objective",
+        "bound_kind": "per-instance" if deterministic else "probabilistic",
+        "mean_ratio": _finite_mean([e["ratio"] for e in per]),
+        "success_fraction": sum(e["satisfied"] for e in per) / args.trials,
+        "per_trial": per,
     }
 
 
-def _run_kmeans(args):
-    A, source = _load_input(args)
-    restarts = args.trials
-    base = lloyd(A, args.k, restarts=restarts, seed=args.seed)
+def _run_kmeans(args, A):
+    base = lloyd(A, args.k, restarts=args.trials, seed=args.seed)
     C, _aux = reduce_features(A, args.k, args.eps, method=args.method,
                               c0=args.c0, seed=args.seed)
-    red = lloyd(C, args.k, restarts=restarts,
+    red = lloyd(C, args.k, restarts=args.trials,
                 seed=rng.derive_seed(args.seed, rng.KMEANS, 2))
     # costs are sums of squares: taken on A / 2^e they neither overflow
     # nor underflow, and the ratio is the same at any scale of A
     S, e = pow2_scaled(A)
     cost_full, cost_red = kmeans_cost(S, base), kmeans_cost(S, red)
-    return {
-        "algorithm": "reduce_features",
-        "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
-                  "seed": args.seed},
-        "params": {"k": args.k, "eps": args.eps, "method": args.method,
-                   "c0": args.c0, "trials": restarts},
-        "results": {
-            "reduced_width": int(C.shape[1]),
-            "cost_full_features": _pow2_unscaled(cost_full, 2 * e),
-            "cost_reduced_features_on_full": _pow2_unscaled(cost_red, 2 * e),
-            "ratio": _ratio(cost_red, cost_full, 0),
-            "note": "inner clusterer is uncertified Lloyd; ratio is an "
-                    "empirical surrogate, not a theorem constant",
-            "cluster_sizes_full": list(base.sizes),
-            "cluster_sizes_reduced": list(red.sizes),
-        },
+    return "reduce_features", A.shape, {
+        "reduced_width": int(C.shape[1]),
+        "cost_full_features": _pow2_unscaled(cost_full, 2 * e),
+        "cost_reduced_features_on_full": _pow2_unscaled(cost_red, 2 * e),
+        "ratio": _ratio(cost_red, cost_full, 0),
+        "note": "inner clusterer is uncertified Lloyd; ratio is an "
+                "empirical surrogate, not a theorem constant",
+        "cluster_sizes_full": list(base.sizes),
+        "cluster_sizes_reduced": list(red.sizes),
     }
 
 
-def _run_sketch_svd(args):
-    A, source = _load_input(args)
+def _run_sketch_svd(args, A):
     p = ColumnProblem(A)  # errors are taken on p.S and scaled back
     k, frob = args.k, args.mode == "frobenius"
     base = p.baseline(k, args.mode)
     fn, key = ((fast_frobenius_svd, "sq_ratio") if frob
                else (fast_spectral_svd, "ratio"))
-    per = []
-    for sd in _trial_seeds(args.seed, args.trials):
-        basis = fn(p.S, k, args.eps, seed=sd)
+    basis = None
+
+    def one(seed):
+        nonlocal basis
+        basis = fn(p.S, k, args.eps, seed=seed)
         err = (frobenius_norm(_residual(p.S, basis.Z)) if frob
                else p.residual_norm(basis.Z))
-        per.append({"algorithm_seed": sd, "error": _pow2_unscaled(err, p.e),
-                    key: _ratio(err, base, 0, 2 if frob else 1)})
+        return {"error": _pow2_unscaled(err, p.e),
+                key: _ratio(err, base, 0, 2 if frob else 1)}
+
+    per = _trials(args, one)
     mean_stat = _finite_mean([t[key] for t in per])
     bound_factor, formula = (
         (1.0 + args.eps, "E: (1+eps)*||A-A_k||_F^2") if frob
         else (math.sqrt(2.0) + args.eps, "E: (sqrt(2)+eps)*sigma_{k+1}"))
-    return {
-        "algorithm": fn.__name__,
-        "input": {"rows": A.shape[0], "cols": A.shape[1], "source": source,
-                  "seed": args.seed},
-        "params": {"k": k, "eps": args.eps, "mode": args.mode,
-                   "trials": args.trials},
-        "results": {
-            "baseline": _pow2_unscaled(base, p.e),
-            "bound_value": bound_factor,
-            "bound_formula": formula,
-            "power_iterations": basis.power,
-            "mean_stat": mean_stat,
-            "stat_kind": ("mean squared Frobenius ratio" if frob
-                          else "mean spectral ratio"),
-            "satisfied": (mean_stat is not None
-                          and _within(mean_stat, bound_factor)),
-            "per_trial": per,
-        },
+    return fn.__name__, A.shape, {
+        "baseline": _pow2_unscaled(base, p.e),
+        "bound_value": bound_factor,
+        "bound_formula": formula,
+        "power_iterations": basis.power,
+        "mean_stat": mean_stat,
+        "stat_kind": ("mean squared Frobenius ratio" if frob
+                      else "mean spectral ratio"),
+        "satisfied": (mean_stat is not None
+                      and _within(mean_stat, bound_factor)),
+        "per_trial": per,
     }
 
 
-def _run_lowerbound(args):
+def _run_lowerbound(args, A):
     n, alpha, r = args.n, args.alpha, args.r
-    if not (1 <= r < n):
-        raise ArgumentError(f"need 1 <= r < n, got r={r}, n={n}")
-    A = lower_bound_instance(n, alpha)
     closed = (n + alpha ** 2) / (r + alpha ** 2)
     s = singular_values(A)
     _, errs = all_subset_errors(A, r, "spectral")
     sq_ratios = (np.asarray(errs) / alpha) ** 2
     agrees = bool(np.max(np.abs(sq_ratios - closed)) <= 1e-9 * closed)
-    return {
-        "algorithm": "lower_bound_instance",
-        "input": {"rows": n + 1, "cols": n, "source": f"lowerbound:{n},{alpha}",
-                  "seed": "deterministic"},
-        "params": {"n": n, "alpha": alpha, "r": r, "trials": 1},
-        "results": {
-            "ratio": closed,
-            "bound_formula": "(n+alpha^2)/(r+alpha^2) for every r-subset",
-            "measured_sq_ratio_min": float(sq_ratios.min()),
-            "measured_sq_ratio_max": float(sq_ratios.max()),
-            "subsets_checked": int(sq_ratios.size),
-            "sigma1_sq": float(s[0] ** 2),
-            "sigma1_sq_expected": n + alpha ** 2,
-            "all_subsets_agree": agrees,
-        },
+    return "lower_bound_instance", A.shape, {
+        "ratio": closed,
+        "bound_formula": "(n+alpha^2)/(r+alpha^2) for every r-subset",
+        "measured_sq_ratio_min": float(sq_ratios.min()),
+        "measured_sq_ratio_max": float(sq_ratios.max()),
+        "subsets_checked": int(sq_ratios.size),
+        "sigma1_sq": float(s[0] ** 2),
+        "sigma1_sq_expected": n + alpha ** 2,
+        "all_subsets_agree": agrees,
     }
 
 
@@ -501,25 +440,41 @@ _RUNNERS = {
     "sketch-svd": _run_sketch_svd,
     "lowerbound": _run_lowerbound,
 }
+# the flags that say where the input comes from and where the report goes;
+# every other flag of a subcommand is a param
+_IO_FLAGS = ("command", "infile", "format", "synthetic", "seed", "out")
+# the runs that give the same answer on every trial
+_ONE_TRIAL = {"cx": ("mode", "deterministic"), "coreset": ("method", "barrier")}
 
 
 def _experiment_id(args):
-    bits = [args.command]
-    for attr in ("norm", "mode", "method"):
-        v = getattr(args, attr, None)
-        if v is not None:
-            bits.append(str(v))
-    return "-".join(bits)
+    modes = [getattr(args, attr) for attr in ("norm", "mode", "constraint",
+                                              "method") if hasattr(args, attr)]
+    return "-".join([args.command, *modes])
 
 
 def _run_one(args, experiment=None):
-    if getattr(args, "trials", 1) < 1:
-        raise ArgumentError(f"need --trials >= 1, got {args.trials}")
+    trials = getattr(args, "trials", 1)
+    if trials < 1:
+        raise ArgumentError(f"need --trials >= 1, got {trials}")
+    attr, value = _ONE_TRIAL.get(args.command, (None, None))
+    if trials > 1 and attr and getattr(args, attr) == value:
+        raise ArgumentError(f"--{attr} {value} is deterministic and runs one "
+                            f"trial, got --trials {trials}")
     t0 = time.perf_counter()
-    report = _RUNNERS[args.command](args)
-    report["experiment"] = experiment or _experiment_id(args)
-    report["toolkit_version"] = __version__
-    report["wall_seconds"] = time.perf_counter() - t0
+    A, source = _load_input(args)
+    algorithm, (rows, cols), results = _RUNNERS[args.command](args, A)
+    params = {k: v for k, v in vars(args).items() if k not in _IO_FLAGS}
+    report = {
+        "algorithm": algorithm,
+        "input": {"rows": rows, "cols": cols, "source": source,
+                  "seed": getattr(args, "seed", "deterministic")},
+        "params": {"trials": 1, **params},
+        "results": results,
+        "experiment": experiment or _experiment_id(args),
+        "toolkit_version": __version__,
+        "wall_seconds": time.perf_counter() - t0,
+    }
     report = _sanitize(report)
     report["determinism_hash"] = determinism_hash(report)
     return report
@@ -576,10 +531,13 @@ def _suite_entries(seed):
 
 def _emit(report, out):
     text = json.dumps(report, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
+    if not out:
         print(text)
+        return
+    try:
+        Path(out).write_text(text + "\n")
+    except OSError as e:
+        raise DataFormatError(f"cannot write {out}: {e}") from None
 
 
 def run_experiment(args):
@@ -595,7 +553,7 @@ def run_experiment(args):
         _emit(suite, args.out)
         return suite
     report = _run_one(args)
-    _emit(report, getattr(args, "out", None))
+    _emit(report, args.out)
     return report
 
 

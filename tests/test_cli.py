@@ -355,6 +355,10 @@ def test_deterministic_runs_refuse_more_than_one_trial(capsys, argv):
     assert code == 2
     assert err["error"]["type"] == "ArgumentError"
     assert "runs one trial, got --trials 5" in err["error"]["message"]
+    # the refusal comes before the input is read
+    code, err = run_cli(capsys, *argv[:-2], "--trials", "5")
+    assert code == 2
+    assert "runs one trial, got --trials 5" in err["error"]["message"]
     code, rep = run_cli(capsys, *argv, "--trials", "1")
     assert code == 0 and rep["params"]["trials"] == 1
 
@@ -410,6 +414,69 @@ def test_trial_loops_factor_the_input_once(capsys, monkeypatch, name):
                         "lowrank:60,40,3,0.1", "--seed", "4")
     assert code == 0, rep
     assert sum(top_k) == 1
+    assert rep["determinism_hash"] == digest
+
+
+# one run of each runner not pinned above: its params block and its
+# determinism_hash, which is the same at 1 and 2 BLAS threads
+_PINNED = {
+    "id": (
+        ["id", "-k", "3", "--synthetic", "lowrank:50,30,3,0.05"],
+        {"k": 3, "trials": 1},
+        "2dfc23162eae77fff235ffedc918f9042c718e3585ee56b26d9811efec0d604b"),
+    "coreset-barrier": (
+        ["coreset", "--method", "barrier", "--eps", "0.5",
+         "--synthetic", "lowrank:400,4,3,0.1"],
+        {"method": "barrier", "eps": 0.5, "delta": 0.1, "r": None,
+         "constraint": "none", "trials": 1},
+        "66eb809ee9454f6bf6898a80de1b99da915a62702f826fc2f6d2629e88b3d45e"),
+    "coreset-subspace": (
+        ["coreset", "--method", "subspace", "--eps", "0.5", "-r", "200",
+         "--trials", "3", "--synthetic", "lowrank:400,4,3,0.1"],
+        None,
+        "8eeaee6d4b051b4c57d417afd9df641eb8228154d249fee40d40392553a7b969"),
+    "coreset-srht-file": (
+        ["coreset", "--method", "srht", "--mode", "nonnegative", "--eps",
+         "0.5", "-r", "200", "--trials", "3", "--in", "ab.mtx"],
+        {"method": "srht", "eps": 0.5, "delta": 0.1, "r": 200,
+         "constraint": "nonnegative", "trials": 3},
+        "399db4e3bb3b5954c51fd8964736ed7bca906428ceb42395d2c7288d8705b072"),
+    "kmeans-svd": (
+        ["kmeans", "-k", "3", "--method", "svd",
+         "--synthetic", "blobs:300,50,3,6"],
+        None,
+        "afea216a43d828c78a9814bd056c93e28f3b6571e39a15c526b3c7381326a2dc"),
+    "sketch-svd-spectral": (
+        ["sketch-svd", "-k", "3", "--mode", "spectral", "--trials", "4",
+         "--synthetic", "lowrank:80,60,3,0.2"],
+        None,
+        "86132b93a8c96cadef65e1d1eb00a59dcfe1130040bb64b49d1172058a86f995"),
+    "lowerbound": (
+        ["lowerbound", "-n", "6", "--alpha", "0.5", "-r", "3"],
+        {"n": 6, "alpha": 0.5, "r": 3, "trials": 1},
+        "13b2b8b0f31fda7072d4a741ead1515fde61acadf99b3737782be195e1e1f018"),
+    "cx-deterministic": (
+        ["cx", "spectral", "--mode", "deterministic", "-k", "2", "-r", "8",
+         "--synthetic", "lowrank:60,40,2,0.05"],
+        None,
+        "12e4c265b5adf0fdb6abeffc2d23b5499c99757bb4f114fb4ff39bd79b1bbfbf"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_each_runner_report_is_pinned(capsys, monkeypatch, tmp_path, name):
+    argv, params, digest = _PINNED[name]
+    g = rand(5)
+    A = g.normal(size=(400, 4))
+    b = np.abs(A @ g.normal(size=4) + 0.1 * g.normal(size=400))
+    save_matrix(tmp_path / "ab.mtx", np.column_stack([A, b]))
+    monkeypatch.chdir(tmp_path)  # the source is "file:ab.mtx" in any tmp_path
+    if argv[0] != "lowerbound":
+        argv = [*argv, "--seed", "3"]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0, rep
+    if params is not None:
+        assert rep["params"] == params
     assert rep["determinism_hash"] == digest
 
 
@@ -551,6 +618,21 @@ def test_exit_4_on_undecodable_file(capsys, tmp_path, name, body, line):
     err = json.loads(out)
     assert err["error"]["type"] == "DataFormatError"
     assert err["error"]["message"].startswith(f"{bad}:{line}: ")
+    assert err["exit_code"] == 4
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_exit_4_on_unwritable_out(capsys, tmp_path, where):
+    # the write raised FileNotFoundError / IsADirectoryError out of main
+    out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    code = main(["lowerbound", "-n", "5", "--alpha", "1.0", "-r", "2",
+                 "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert code == 4
+    assert stderr == ""  # a JSON report, no traceback
+    err = json.loads(stdout)
+    assert err["error"]["type"] == "DataFormatError"
+    assert err["error"]["message"].startswith(f"cannot write {out}: ")
     assert err["exit_code"] == 4
 
 
