@@ -22,14 +22,12 @@ from .linalg import (ColumnProblem, SamplingPlan, SvdFactors,
                      apply_plan_columns, apply_plan_rows,
                      best_rank_k_in_subspace, pseudo_inverse, svd)
 from .mmio import load_matrix, save_matrix
-from .oracles import (all_subset_errors, best_subset_exhaustive,
-                      volume_probabilities_exhaustive)
+from .oracles import all_subset_errors, best_subset_exhaustive
 from .regression import (Coreset, RegressionProblem, build_coreset,
                          coreset_size, evaluate_coreset, solve_ls)
 from .samplers import (additive_sampling, adaptive_sampling,
-                       barrier_dual_frobenius, barrier_dual_general,
-                       barrier_dual_spectral, barrier_single, rrqr_select,
-                       subspace_sampling)
+                       barrier_dual_frobenius, barrier_dual_spectral,
+                       barrier_single, rrqr_select, subspace_sampling)
 from .sketch import fwht, gaussian_sketch, sign_sketch, srht_rows
 from .synthetic import blobs, lowrank_plus_noise, random_orthonormal
 
@@ -47,12 +45,11 @@ __all__ = [
     "apply_plan_rows", "best_rank_k_in_subspace", "pseudo_inverse", "svd",
     "load_matrix", "save_matrix",
     "all_subset_errors", "best_subset_exhaustive",
-    "volume_probabilities_exhaustive",
     "Coreset", "RegressionProblem", "build_coreset", "coreset_size",
     "evaluate_coreset", "solve_ls",
     "additive_sampling", "adaptive_sampling", "barrier_dual_frobenius",
-    "barrier_dual_general", "barrier_dual_spectral", "barrier_single",
-    "rrqr_select", "subspace_sampling",
+    "barrier_dual_spectral", "barrier_single", "rrqr_select",
+    "subspace_sampling",
     "fwht", "gaussian_sketch", "sign_sketch", "srht_rows",
     "blobs", "lowrank_plus_noise", "random_orthonormal",
 ]

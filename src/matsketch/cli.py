@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -33,16 +32,6 @@ from .regression import (RegressionProblem, build_coreset, coreset_size,
 from .synthetic import blobs, lowrank_plus_noise
 
 
-def _default_seed():
-    v = os.environ.get("MATSKETCH_SEED")
-    if v is None or v == "":
-        return 0
-    try:
-        return int(v)
-    except ValueError:
-        raise ArgumentError(f"MATSKETCH_SEED must be an integer, got {v!r}") from None
-
-
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="matsketch",
@@ -51,7 +40,6 @@ def _build_parser():
                     "reduction.")
     ap.add_argument("--version", action="version", version=f"matsketch {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    seed0 = _default_seed()
 
     def io_flags(sp, trials=1):
         sp.add_argument("--in", dest="infile", metavar="PATH",
@@ -61,7 +49,7 @@ def _build_parser():
         sp.add_argument("--synthetic", metavar="SPEC",
                         help="lowrank:m,n,k,noise | blobs:m,n,k,sep | "
                              "lowerbound:n,alpha")
-        sp.add_argument("--seed", type=int, default=seed0)
+        sp.add_argument("--seed", type=int, default=0)
         if trials:
             sp.add_argument("--trials", type=int, default=trials)
         sp.add_argument("--out", metavar="PATH", help="write report here "
@@ -119,7 +107,7 @@ def _build_parser():
     p.add_argument("--out", metavar="PATH")
 
     p = sub.add_parser("bench-suite", help="run the pinned experiment suite")
-    p.add_argument("--seed", type=int, default=seed0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
     return ap
 
@@ -461,6 +449,9 @@ def _run_one(args, experiment=None):
     if trials > 1 and attr and getattr(args, attr) == value:
         raise ArgumentError(f"--{attr} {value} is deterministic and runs one "
                             f"trial, got --trials {trials}")
+    if args.command == "cx" and args.norm == "spectral" and args.mode == "relative":
+        raise ArgumentError("--mode relative is Frobenius-only; cx spectral "
+                            "takes --mode deterministic|fast")
     t0 = time.perf_counter()
     A, source = _load_input(args)
     algorithm, (rows, cols), results = _RUNNERS[args.command](args, A)

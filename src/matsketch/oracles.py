@@ -14,7 +14,6 @@ import numpy as np
 from .errors import ArgumentError, GuardError
 
 SUBSET_GUARD = 10**6
-VOLUME_GUARD = 10**5
 
 
 def _residual_cc_plus(A, cols):
@@ -87,26 +86,3 @@ def all_subset_errors(A, r, norm="spectral"):
     )
     return subsets, errs
 
-
-def volume_probabilities_exhaustive(A, k):
-    """Exact volume-sampling distribution over k-subsets of columns.
-
-    p(S) proportional to det(C_S^T C_S). Test oracle only; refuses when
-    C(n, k) > 1e5. Returns (list of index tuples, probability array).
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
-    if not (1 <= k <= n):
-        raise ArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if comb(n, k) > VOLUME_GUARD:
-        raise GuardError(f"C({n},{k}) = {comb(n, k)} exceeds guard {VOLUME_GUARD}")
-    subsets = list(combinations(range(n), k))
-    dets = np.empty(len(subsets))
-    for t, cols in enumerate(subsets):
-        C = A[:, list(cols)]
-        G = C.T @ C
-        dets[t] = max(np.linalg.det(G), 0.0)
-    total = dets.sum()
-    if total <= 0:
-        raise ArgumentError("all k-subsets are singular; distribution undefined")
-    return subsets, dets / total

@@ -19,6 +19,8 @@ from .linalg import (_U, SamplingPlan, _gamma, _svd, as_matrix, pow2_scaled,
                      rank_cutoff, svd)
 
 _ORTHO_TOL = 1e-10
+# rrqr_select's swap threshold: the cssp and id bounds are stated for f = 2
+_RRQR_F = 2.0
 _SCAN_BLOCK = 64  # rows in the first barrier scan block
 _BATCH = 2  # steps per round of a screened single-set barrier walk
 # the LAPACK gufunc behind np.linalg.eigh (lower triangle), without the
@@ -105,20 +107,18 @@ def subspace_sampling(X, beta, r, seed=0):
     return SamplingPlan(n, idx, 1.0 / np.sqrt(p[idx] * r), with_replacement=True)
 
 
-def rrqr_select(X, f=2.0):
+def rrqr_select(X):
     """Strong rank-revealing QR selection of k rows of an n x k matrix.
 
     Runs column-pivoted QR on X^T, then swaps a selected column against a
-    rejected one while any entry of A_k^{-1} B_k exceeds f (each swap grows
-    |det A_k| by that entry, so the loop terminates). The k selected
-    indices guarantee sigma_k(X^T Omega) >= sigma_k(X^T)/sqrt(f^2 k (n-k) + 1).
+    rejected one while any entry of A_k^{-1} B_k exceeds f = 2 (each swap
+    grows |det A_k| by that entry, so the loop terminates). The k selected
+    indices guarantee sigma_k(X^T Omega) >= sigma_k(X^T)/sqrt(4 k (n-k) + 1).
     """
     X = as_matrix(X, "X")
     n, k = X.shape
     if n < k:
         raise ArgumentError(f"need n >= k, got n={n} < k={k}")
-    if not f > 1:
-        raise ArgumentError(f"need f > 1, got {f}")
     Xt = np.ascontiguousarray(X.T)  # k x n
     sv = np.linalg.svd(Xt, compute_uv=False)
     if sv[-1] <= rank_cutoff(sv, Xt.shape):
@@ -128,13 +128,13 @@ def rrqr_select(X, f=2.0):
 
     _, _, piv = scipy.linalg.qr(Xt, pivoting=True, mode="economic")
     perm = np.array(piv, dtype=int)
-    cap = math.ceil(k * math.log(n) / math.log(f)) + 10 * k
+    cap = math.ceil(k * math.log(n) / math.log(_RRQR_F)) + 10 * k
     swaps = 0
     while True:
         R = np.linalg.qr(Xt[:, perm], mode="r")
         T = scipy.linalg.solve_triangular(R[:, :k], R[:, k:])
         i, j = np.unravel_index(np.argmax(np.abs(T)), T.shape)
-        if abs(T[i, j]) <= f:
+        if abs(T[i, j]) <= _RRQR_F:
             break
         perm[i], perm[k + j] = perm[k + j], perm[i]
         swaps += 1
@@ -504,34 +504,3 @@ def barrier_dual_frobenius(V, A_cols, r):
     c_sq = np.einsum("ij,ij->j", S, S)
     return _plan_from_weights(_barrier_core(V, int(r), c_sq))
 
-
-def barrier_dual_general(X, Y, r, mode="spectral"):
-    """Barrier sparsification for inputs that are not orthonormal.
-
-    Runs the matching barrier routine on the left-singular-vector factor of
-    X (and of Y in spectral mode). Guarantees, with rho = rank(X):
-    ||(X^T Omega S)^+||_2 * (1 - sqrt(rho/r)) <= ||(X^T)^+||_2, plus
-    ||Y^T Omega S||_2 <= (1 + sqrt(rank(Y)/r)) ||Y^T||_2 in spectral mode or
-    ||Y Omega S||_F <= ||Y||_F in frobenius mode (Y then ell x n). Inputs
-    that are already orthonormal are passed through unchanged, so the
-    output matches the non-general routine exactly.
-    """
-    X = as_matrix(X, "X")
-    n = X.shape[0]
-
-    def _left_factor(M):
-        return M if _ortho_deviation(M) <= _ORTHO_TOL else svd(M).U
-
-    UX = _left_factor(X)
-    rho = UX.shape[1]
-    if not (rho < r <= n):
-        raise ArgumentError(f"need rank(X)={rho} < r <= n={n}, got r={r}")
-    if mode == "spectral":
-        Y = as_matrix(Y, "Y")
-        if Y.shape[0] != n:
-            raise ArgumentError("Y must have the same row count as X")
-        UY = _left_factor(Y)
-        return barrier_dual_spectral(UX, UY, r)
-    if mode == "frobenius":
-        return barrier_dual_frobenius(UX, Y, r)
-    raise ArgumentError(f"unknown mode {mode!r}")

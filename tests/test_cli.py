@@ -1,5 +1,6 @@
 """Command line reports: schemas, pinned examples, exit codes, hashes."""
 
+import itertools
 import json
 import math
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 import matsketch
 from matsketch import save_matrix
-from matsketch.cli import determinism_hash, main
+from matsketch.cli import _build_parser, determinism_hash, main
 from matsketch.samplers import _barrier_core
 from matsketch.synthetic import blobs, lowrank_plus_noise
 
@@ -165,16 +166,20 @@ def test_hash_ignores_timing_fields(capsys):
     assert recomputed_hash(tampered) != rep["determinism_hash"]
 
 
-def test_env_var_default_seed(capsys, monkeypatch):
-    monkeypatch.setenv("MATSKETCH_SEED", "42")
-    _, rep = run_cli(capsys, "cssp", "-k", "2", "--trials", "2",
-                     "--synthetic", "lowrank:30,12,2,0.1")
-    assert rep["input"]["seed"] == 42
+def test_seed_defaults_to_0_whatever_the_environment(capsys, monkeypatch):
+    # MATSKETCH_SEED was read by every parser, so a malformed value made
+    # even --version and the seedless lowerbound exit 2
     monkeypatch.setenv("MATSKETCH_SEED", "not-an-int")
-    code, err = run_cli(capsys, "lowerbound", "-n", "5", "--alpha", "1.0",
-                        "-r", "2")
-    assert code == 2
-    assert err["error"]["type"] == "ArgumentError"
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code, _ = run_cli(capsys, "lowerbound", "-n", "5", "--alpha", "1.0",
+                      "-r", "2")
+    assert code == 0
+    code, rep = run_cli(capsys, "cssp", "-k", "2", "--trials", "2",
+                        "--synthetic", "lowrank:30,12,2,0.1")
+    assert code == 0 and rep["input"]["seed"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +562,44 @@ def test_exactly_rank_k_input_reports(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # exit codes and error reports
+
+
+# a tiny input for each subcommand whose parser offers choices
+_CHOICE_INPUTS = {
+    "cx": ["-k", "2", "-r", "24", "--synthetic", "lowrank:60,30,2,0.1"],
+    "cssp": ["-k", "2", "--synthetic", "lowrank:40,12,2,0.1"],
+    "coreset": ["--eps", "0.3", "-r", "100",
+                "--synthetic", "lowrank:300,3,2,0.1"],
+    "kmeans": ["-k", "3", "--c0", "0.04", "--synthetic", "blobs:60,40,3,6"],
+    "sketch-svd": ["-k", "2", "--synthetic", "lowrank:40,30,2,0.1"],
+}
+
+
+def _offered_choices():
+    """Every combination of choices each parser offers, as argv heads."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    for name in _CHOICE_INPUTS:
+        flags = [a for a in sub.choices[name]._actions
+                 if a.choices and a.dest != "format"]
+        for values in itertools.product(*(a.choices for a in flags)):
+            yield [name, *itertools.chain.from_iterable(
+                [*a.option_strings[:1], v] for a, v in zip(flags, values))]
+
+
+@pytest.mark.parametrize("argv", list(_offered_choices()),
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_every_offered_choice_runs(capsys, argv):
+    inputs = _CHOICE_INPUTS[argv[0]]
+    code, rep = run_cli(capsys, *argv, *inputs)
+    if argv[:4] != ["cx", "spectral", "--mode", "relative"]:
+        assert code == 0, rep
+        return
+    # relative is Frobenius-only, refused before the input is read
+    for args in (inputs, inputs[:-2]):
+        code, err = run_cli(capsys, *argv, *args)
+        assert code == 2
+        assert err["error"]["message"].startswith(
+            "--mode relative is Frobenius-only")
 
 
 def test_exit_2_on_missing_input(capsys):

@@ -129,6 +129,15 @@ def test_lloyd_is_seed_deterministic():
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def test_lloyd_hands_a_point_to_an_empty_cluster():
+    # two distinct points and k = 3: seeding repeats a center, whose
+    # cluster comes out of the first assignment empty
+    A = np.repeat([[0.0, 0.0], [1.0, 1.0]], 10, axis=0)
+    a = lloyd(A, 3, restarts=3, seed=0)
+    assert len(a.sizes) == 3 and min(a.sizes) >= 1
+    assert math.isfinite(kmeans_cost(A, a))
+
+
 def test_lloyd_rejects_k_above_m():
     with pytest.raises(ArgumentError):
         lloyd(np.ones((3, 2)), 4)

@@ -1,11 +1,10 @@
-"""Brute-force subset and volume oracles."""
+"""Brute-force subset oracles."""
 
 import numpy as np
 import pytest
 
 from matsketch import (GuardError, all_subset_errors, best_subset_exhaustive,
-                       cssp, cx_frobenius, lower_bound_instance,
-                       pseudo_inverse, svd, volume_probabilities_exhaustive)
+                       cssp, cx_frobenius, lower_bound_instance)
 from matsketch.synthetic import lowrank_plus_noise
 
 from conftest import rand
@@ -64,47 +63,3 @@ def test_oracle_combinatorial_guard():
     A = np.ones((2, 60))
     with pytest.raises(GuardError):
         all_subset_errors(A, 30, norm="spectral")
-
-
-# ---------------------------------------------------------------------------
-# volume_probabilities_exhaustive
-
-
-def test_volume_certain_subset():
-    A = np.zeros((4, 5))
-    A[:, 1] = [1.0, 0, 0, 0]
-    A[:, 3] = [0, 1.0, 0, 0]
-    subsets, probs = volume_probabilities_exhaustive(A, 2)
-    idx = subsets.index((1, 3))
-    assert probs[idx] == pytest.approx(1.0)
-    assert np.all(np.delete(probs, idx) == 0)
-
-
-def test_volume_probabilities_sum_to_one():
-    A = rand(61).normal(size=(6, 6))
-    _, probs = volume_probabilities_exhaustive(A, 2)
-    assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_volume_expected_residual_bound():
-    # exact expectation over the determinantal law is within (k+1) of optimal
-    k = 2
-    for s in range(10):
-        A = rand(70 + s).normal(size=(5, 5))
-        subsets, probs = volume_probabilities_exhaustive(A, k)
-        expect = 0.0
-        for cols, p in zip(subsets, probs):
-            if p == 0:
-                continue
-            C = A[:, list(cols)]
-            R = A - C @ pseudo_inverse(C) @ A
-            expect += p * np.linalg.norm(R) ** 2
-        f = svd(A)
-        tail2 = float(np.sum(f.singular_values[k:] ** 2))
-        assert expect <= (k + 1) * tail2 + 1e-9
-
-
-def test_volume_guard():
-    A = np.ones((2, 100))
-    with pytest.raises(GuardError):
-        volume_probabilities_exhaustive(A, 5)

@@ -6,15 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matsketch import (ArgumentError, InfeasibleStepError, NumericError,
                        RankError, additive_sampling, adaptive_sampling,
                        apply_plan_columns, barrier_dual_frobenius,
-                       barrier_dual_general, barrier_dual_spectral,
-                       barrier_single, best_rank_k_in_subspace,
-                       pseudo_inverse, rrqr_select, subspace_sampling, svd)
+                       barrier_dual_spectral, barrier_single,
+                       best_rank_k_in_subspace, rrqr_select,
+                       subspace_sampling, svd)
 from matsketch import samplers
 from matsketch.samplers import _barrier_core, _plan_from_weights
 from matsketch.synthetic import lowrank_plus_noise, random_orthonormal
@@ -241,6 +242,26 @@ def test_rrqr_spectral_norm_never_grows():
         assert np.linalg.norm(X[plan.indices].T) <= np.linalg.norm(X.T) + 1e-12
 
 
+@pytest.mark.parametrize("n, k", [(20, 10), (10, 9)])
+def test_rrqr_swaps_past_pivoted_qr_on_the_kahan_matrix(n, k):
+    # K = diag(s^i)(I - c * strict upper ones): pivoted QR keeps its first
+    # columns, which leaves an entry of R11^-1 R12 above f = 2, so the swap
+    # loop has to run
+    c = 0.285
+    K = np.diag(math.sqrt(1 - c * c) ** np.arange(n)) @ (
+        np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    X = K[:k].T
+    sel = rrqr_select(X).indices
+    piv = scipy.linalg.qr(X.T, pivoting=True, mode="economic")[2]
+    assert not np.array_equal(sel, np.sort(piv[:k]))
+    rest = np.setdiff1d(np.arange(n), sel)
+    # R11^-1 R12 for the selection is X[sel]^-T X[rest]^T, whatever the order
+    assert np.abs(np.linalg.solve(X[sel].T, X[rest].T)).max() <= 2.0
+    sv = np.linalg.svd(X, compute_uv=False)[-1]
+    assert (np.linalg.svd(X[sel], compute_uv=False)[-1]
+            >= sv / math.sqrt(4 * k * (n - k) + 1))
+
+
 def test_rrqr_rejects_rank_deficiency():
     X = np.ones((5, 2))
     with pytest.raises(RankError):
@@ -387,52 +408,6 @@ def test_barrier_infeasible_step_reports_margin_over_all_rows():
     gain = (math.sqrt(r / k) - 1.0) / (math.sqrt(r * k) - 1.0)
     best = (1.0 - math.sqrt(k / r)) / n - gain * np.max(np.sum(V * V, axis=1))
     assert exc.value.margin == pytest.approx(best, rel=1e-9)
-
-
-def test_barrier_general_passes_orthonormal_inputs_through():
-    X = random_orthonormal(30, 3, seed=25)
-    Y = random_orthonormal(30, 4, seed=26)
-    assert plan_digest(barrier_dual_general(X, Y, 12)) == plan_digest(
-        barrier_dual_spectral(X, Y, 12)
-    )
-
-
-def test_barrier_general_rank_deficient_spectral():
-    g = rand(27)
-    X = g.normal(size=(60, 3)) @ g.normal(size=(3, 5))  # rank 3 in R^{60x5}
-    Y = g.normal(size=(60, 4))
-    for r in [8, 12, 20]:
-        plan = barrier_dual_general(X, Y, r, mode="spectral")
-        Xc = apply_plan_columns(X.T, plan)
-        lhs = np.linalg.norm(pseudo_inverse(Xc), 2) * (1 - math.sqrt(3.0 / r))
-        rhs = np.linalg.norm(pseudo_inverse(X.T), 2)
-        assert lhs <= rhs * (1 + 1e-9)
-        Yc = apply_plan_columns(Y.T, plan)
-        rho_y = svd(Y).rank
-        assert np.linalg.norm(Yc, 2) <= (
-            1 + math.sqrt(rho_y / r)
-        ) * np.linalg.norm(Y.T, 2) + 1e-9
-
-
-def test_barrier_general_frobenius_mode():
-    g = rand(28)
-    X = g.normal(size=(50, 4)) @ g.normal(size=(4, 6))
-    Y = g.normal(size=(3, 50))
-    plan = barrier_dual_general(X, Y, 14, mode="frobenius")
-    Yc = apply_plan_columns(Y, plan)
-    assert np.linalg.norm(Yc) <= np.linalg.norm(Y) + 1e-9
-    Xc = apply_plan_columns(X.T, plan)
-    lhs = np.linalg.norm(pseudo_inverse(Xc), 2) * (1 - math.sqrt(4.0 / 14.0))
-    assert lhs <= np.linalg.norm(pseudo_inverse(X.T), 2) * (1 + 1e-9)
-
-
-def test_barrier_general_rejects_r_at_or_below_rank():
-    g = rand(29)
-    X = g.normal(size=(20, 2)) @ g.normal(size=(2, 4))
-    with pytest.raises(ArgumentError):
-        barrier_dual_general(X, g.normal(size=(20, 2)), 2, mode="spectral")
-    with pytest.raises(ArgumentError):
-        barrier_dual_general(X, g.normal(size=(2, 20)), 14, mode="bogus")
 
 
 # ---------------------------------------------------------------------------
