@@ -511,8 +511,12 @@ def _gram_projected_norm(G, m, Z):
 
 def pseudo_inverse(A):
     """Moore-Penrose pseudo-inverse via the rank-truncated SVD."""
-    A = as_matrix(A)
-    f = svd(A)
+    return _pseudo_inverse(as_matrix(A))
+
+
+def _pseudo_inverse(A):
+    """pseudo_inverse of a validated A."""
+    f = _rank_svd(A)
     if f.rank == 0:
         return np.zeros((A.shape[1], A.shape[0]))
     return (f.V / f.singular_values) @ f.U.T
@@ -534,7 +538,11 @@ def _plan_columns(A, plan):
 
 def apply_plan_rows(A, plan):
     """S^T * Omega^T * A: picked rows of A, rescaled, in plan order."""
-    A = as_matrix(A)
+    return _plan_rows(as_matrix(A), plan)
+
+
+def _plan_rows(A, plan):
+    """apply_plan_rows of a validated A."""
     if plan.source_dim != A.shape[0]:
         raise ArgumentError(f"plan source_dim {plan.source_dim} != A.rows {A.shape[0]}")
     return A[plan.indices] * plan.weights[:, None]

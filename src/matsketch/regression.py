@@ -26,9 +26,9 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError, ConvergenceError, NumericError, RankError
-from .linalg import (SamplingPlan, _pow2_exponent, _pow2_unscaled, _ratio,
-                     apply_plan_rows, as_matrix, as_vector, formula_width,
-                     frobenius_norm, pow2_scaled, pseudo_inverse,
+from .linalg import (SamplingPlan, _plan_rows, _pow2_exponent, _pow2_unscaled,
+                     _pseudo_inverse, _ratio, _svd, as_matrix, as_vector,
+                     formula_width, frobenius_norm, pow2_scaled, rank_cutoff,
                      singular_values, svd)
 from .samplers import (_barrier_core, _embedding_kappa, _ortho_deviation,
                        _plan_from_weights, subspace_sampling)
@@ -39,11 +39,30 @@ _CONSTRAINTS = ("none", "nonnegative")
 # m rows at weight 1 (kappa = 1) answer at once
 _MAX_WALK_PER_ROW = 16
 
+# W (RegressionProblem) stands for A while sigma_n(A) > 2^-26 sigma_1([A b]),
+# 2^-26 being about sqrt(u): W's rounding, about u sigma_1([A b]), then moves
+# x_full's objective by a relative (u sigma_1 / sigma_n)^2 < u
+_RESOLVE = 2.0 ** -26
+
 
 @dataclass(frozen=True)
 class RegressionProblem:
     """min ||A x - b|| under the constraint. A and b are kept read-only and
-    unshared with the caller, so the factors cached on first use stay true."""
+    unshared with the caller, so the factors taken from them stay true.
+
+    The constructor takes the one SVD of Y = [A b] that every coreset and
+    evaluation on the problem reads. Its U, truncated at rank(Y), is U_Y,
+    the basis the barrier and subspace coresets sample from. Its small
+    right factor W = Sigma V^T (rank(Y) x (n+1), Y / 2^e = U_Y W with
+    e = _pow2_exponent(A, b)) carries the rest: A's rank check reads the
+    singular values of W's first n columns, and the full-data optimum
+    x_full solves the rank(Y)-row problem W[:, :n] x ~ W[:, n] under the
+    constraint. Where W does not resolve A (_resolves: A nearly singular
+    against |[A b]|, as when |b| is far above |A|), A's rank is read from
+    A itself and x_full is solved on the full data, at the cost of m-row
+    factorizations of A. x_full is solved on the first evaluate, which
+    also measures its residual on the full data, once.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -60,20 +79,48 @@ class RegressionProblem:
         if self.constraint not in _CONSTRAINTS:
             raise ArgumentError(
                 f"constraint must be one of {_CONSTRAINTS}, got {self.constraint!r}")
-        if singular_values(A).size != n:
-            raise RankError(f"design matrix is rank-deficient (rank < {n})")
+        e = _pow2_exponent(A, b)
+        f = svd(np.column_stack([A, b]))
+        s = np.ldexp(f.singular_values, -e)
+        W = s[:, None] * f.V.T
+        if not _resolves(W[:, :n], s, m):
+            if singular_values(A).size != n:
+                raise RankError(f"design matrix is rank-deficient (rank < {n})")
+            W = None  # x_full is solved on the full data
         for name, a in (("A", A), ("b", b)):
             a = a.copy() if np.may_share_memory(a, getattr(self, name)) else a
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @cached_property
-    def _basis(self):  # U_Y for the barrier and subspace coresets
-        return svd(np.column_stack([self.A, self.b])).U  # m x rank([A b])
+        for name, a in (("_e", e), ("_basis", f.U), ("_W", W)):
+            object.__setattr__(self, name, a)
 
     @cached_property
     def _optimum(self):
-        return solve_ls(self.A, self.b, self.constraint)
+        """(x_full, ||A x_full - b||), the residual measured on the full data."""
+        W = self._W
+        C, d = (self.A, self.b) if W is None else (W[:, :-1], W[:, -1])
+        x = _solve(C, d, self.constraint)
+        return x, frobenius_norm(self.A @ x - self.b)
+
+
+def _resolves(W_A, s, m):
+    """Whether W_A, with A / 2^e = U_Y W_A for the m x n A and s the
+    singular values of [A b] / 2^e, shows A of rank n to within the SVD's
+    rounding: its smallest singular value passes A's own cutoff
+    (rank_cutoff(., A.shape)) by the larger of [A b]'s cutoff, which
+    bounds that rounding, and _RESOLVE s_1, which keeps it from x_full.
+
+    Where |b| is far above |A| the rounding alone passes A's cutoff: a
+    rank-deficient A then shows a smallest singular value of rounding, so
+    W_A cannot tell its rank.
+    """
+    n = W_A.shape[1]
+    if W_A.shape[0] < n:
+        return False
+    _, sa, _, e = _svd(W_A, False)
+    sa = np.ldexp(sa, e)
+    margin = max(rank_cutoff(s, (m, n + 1)), _RESOLVE * s[0])
+    return bool(sa[-1] > rank_cutoff(sa, (m, n)) + margin)
 
 
 @dataclass(frozen=True)
@@ -183,7 +230,7 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         else:
             raise ArgumentError(
                 f"unknown method {method!r} (expected barrier|subspace|srht)")
-        C = apply_plan_rows(p.A, plan)
+        C = _plan_rows(p.A, plan)
         b_c = plan.weights * p.b[plan.indices]
     return Coreset(plan=plan, C=C, b_c=b_c, method=method, eps=float(eps),
                    delta=float("nan") if method == "barrier" else float(delta),
@@ -278,12 +325,17 @@ def solve_ls(C, b, constraint="none"):
     if C.shape[0] != b.shape[0]:
         raise ArgumentError(
             f"C has {C.shape[0]} rows but b has length {b.shape[0]}")
-    if constraint == "none":
-        return pseudo_inverse(C) @ b
+    if constraint not in _CONSTRAINTS:
+        raise ArgumentError(
+            f"constraint must be one of {_CONSTRAINTS}, got {constraint!r}")
+    return _solve(C, b, constraint)
+
+
+def _solve(C, b, constraint):
+    """solve_ls of a validated C and b under a known constraint tag."""
     if constraint == "nonnegative":
         return _nnls(C, b)
-    raise ArgumentError(
-        f"constraint must be one of {_CONSTRAINTS}, got {constraint!r}")
+    return _pseudo_inverse(C) @ b
 
 
 def evaluate_coreset(p, c):
@@ -293,22 +345,36 @@ def evaluate_coreset(p, c):
     residuals measured on the full data and divided by 2^e (e from
     max |[A | b]|) before squaring, so 2^j (A, b) give the same ratio. A
     zero full residual (linalg._ratio) with a zero coreset residual
-    reports 1.0; with a nonzero one, +inf (ratio_finite=False). x_full is
-    solved on p's first evaluate and kept; full_solve_seconds times its
-    read. kappa, steps, checkpoints and note are the coreset's certificate,
-    its barrier steps, the (steps, kappa) of each plan its walk measured and
-    its plan's note ("all-rows" for the barrier's all-rows answer).
+    reports 1.0; with a nonzero one, +inf (ratio_finite=False). x_full and
+    its residual come from p (RegressionProblem), solved and measured on
+    p's first evaluate and kept; full_solve_seconds times their read.
+    kappa, steps, checkpoints and note are the coreset's certificate, its
+    barrier steps, the (steps, kappa) of each plan its walk measured and
+    its plan's note ("all-rows" for the barrier's all-rows answer). A
+    coreset that is p's own rows at weight 1, as the all-rows answer is,
+    poses p's problem: x_full is its solution and its ratio is 1.0. A
+    coreset whose plan or columns do not fit p (built on another problem)
+    raises ArgumentError.
     """
+    m, n = p.A.shape
+    rows = 1 << (m - 1).bit_length() if c.method == "srht" else m
+    if c.plan.source_dim != rows or np.ndim(c.C) != 2 or c.C.shape[1] != n:
+        raise ArgumentError(
+            f"coreset does not fit this {m}x{n} problem: its plan indexes "
+            f"{c.plan.source_dim} rows (a {c.method} plan on it, {rows}) "
+            f"and C has shape {np.shape(c.C)}")
     t0 = time.perf_counter()
-    x_full = p._optimum
+    x_full, res_full = p._optimum
     t_full = time.perf_counter() - t0
     t0 = time.perf_counter()
-    x_core = solve_ls(c.C, c.b_c, p.constraint)
+    # a coreset of p's own rows at weight 1 is p's problem, solved by x_full
+    own = (c.C.shape[0] == m and np.array_equal(c.C, p.A)
+           and np.array_equal(c.b_c, p.b))
+    x_core = x_full if own else _solve(c.C, c.b_c, p.constraint)
     t_core = time.perf_counter() - t0
 
-    e = _pow2_exponent(p.A, p.b)
-    res_full, res_core = (frobenius_norm(p.A @ x - p.b)
-                          for x in (x_full, x_core))
+    e = p._e
+    res_core = res_full if own else frobenius_norm(p.A @ x_core - p.b)
     ratio = _ratio(res_core, res_full, e, 2)
     r_full, r_core = (_pow2_unscaled(math.ldexp(r, -e) ** 2, 2 * e)
                       for r in (res_full, res_core))
@@ -319,8 +385,8 @@ def evaluate_coreset(p, c):
         "coreset_objective_on_full": r_core,
         "coreset_rows": len(c.plan),
         "distinct_rows": int(np.unique(c.plan.indices).size),
-        "m": int(p.A.shape[0]),
-        "n": int(p.A.shape[1]),
+        "m": m,
+        "n": n,
         "constraint": p.constraint,
         "method": c.method,
         "eps": c.eps,

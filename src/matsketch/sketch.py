@@ -39,31 +39,32 @@ def fwht(X):
     """Normalized Walsh-Hadamard transform down the rows (axis 0).
 
     Row count must be a power of two. Equivalent to H @ X with H the
-    orthonormal Hadamard matrix, computed by the recursive butterfly.
+    orthonormal Hadamard matrix, computed by the recursive butterfly on a
+    copy of X (X itself is not written).
     """
     X = np.asarray(X, dtype=float)
     squeeze = X.ndim == 1
     Y = X.reshape(-1, 1).copy() if squeeze else X.copy()
+    _fwht(Y)
+    return Y[:, 0] if squeeze else Y
+
+
+def _fwht(Y):
+    """fwht of a C-contiguous Y in Y's own buffer; one half-size scratch
+    array serves every butterfly level."""
     n = Y.shape[0]
     if n & (n - 1):
         raise ArgumentError(f"row count {n} is not a power of two")
+    scratch = np.empty((n // 2,) + Y.shape[1:])
     h = 1
     while h < n:
         B = Y.reshape(n // (2 * h), 2, h, -1)  # a view: Y is C-contiguous
-        a = B[:, 0].copy()
+        a = scratch.reshape(n // (2 * h), h, -1)
+        np.copyto(a, B[:, 0])
         B[:, 0] += B[:, 1]
         np.subtract(a, B[:, 1], out=B[:, 1])
         h *= 2
     Y /= math.sqrt(n)
-    return Y[:, 0] if squeeze else Y
-
-
-def _pad_rows(A, m_pad):
-    if A.shape[0] == m_pad:
-        return A
-    out = np.zeros((m_pad,) + A.shape[1:])
-    out[: A.shape[0]] = A
-    return out
 
 
 def srht_rows(A, b, r, seed=0):
@@ -75,7 +76,11 @@ def srht_rows(A, b, r, seed=0):
     the padded, transformed matrix (source_dim = m_pad).
     """
     A = as_matrix(A)
-    m = A.shape[0]
+    m, n = A.shape
+    if b is not None:
+        b = as_vector(b)
+        if b.shape[0] != m:
+            raise ArgumentError(f"b has length {b.shape[0]}, expected {m}")
     m_pad = 1 << max(0, (m - 1).bit_length())
     if not (1 <= r <= m_pad):
         raise ArgumentError(f"need 1 <= r <= padded dim {m_pad}, got r={r}")
@@ -84,8 +89,13 @@ def srht_rows(A, b, r, seed=0):
     idx = gen.integers(0, m_pad, size=int(r))
     scale = math.sqrt(m_pad / r)
 
-    stack = A if b is None else np.hstack([A, as_vector(b).reshape(-1, 1)])
-    mixed = fwht(_pad_rows(stack, m_pad) * signs.reshape(-1, 1))
+    # D [A | b] padded with 0 * sign rows (-0.0 under a negative sign)
+    mixed = np.empty((m_pad, n + (b is not None)))
+    np.multiply(A, signs[:m, None], out=mixed[:m, :n])
+    if b is not None:
+        np.multiply(b, signs[:m], out=mixed[:m, n])
+    np.multiply(0.0, signs[m:, None], out=mixed[m:])
+    _fwht(mixed)
     sk = mixed[idx] * scale
     plan = SamplingPlan(m_pad, idx, scale, with_replacement=True)
     if b is None:

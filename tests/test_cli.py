@@ -445,7 +445,7 @@ _PINNED = {
          "0.5", "-r", "200", "--trials", "3", "--in", "ab.mtx"],
         {"method": "srht", "eps": 0.5, "delta": 0.1, "r": 200,
          "constraint": "nonnegative", "trials": 3},
-        "399db4e3bb3b5954c51fd8964736ed7bca906428ceb42395d2c7288d8705b072"),
+        "8e86781e65441b999038b2cd74b1ddd1f0143a4b97cae14b2b30f691b0d3d228"),
     "kmeans-svd": (
         ["kmeans", "-k", "3", "--method", "svd",
          "--synthetic", "blobs:300,50,3,6"],

@@ -188,26 +188,123 @@ def _count_calls(monkeypatch, module, name, rows):
 
 @pytest.mark.parametrize("trials", [2, 5])
 def test_subspace_trials_factor_the_problem_once(monkeypatch, trials):
-    # the rank check, the SVD of [A b] and the full solve's SVD: once each,
+    # the SVD of [A b] serves the rank check, U_Y and the full solve, once,
     # however many coresets are built and evaluated on the problem
     svds = _count_calls(monkeypatch, np.linalg, "svd", 400)
     p = _problem(400, 3, 11)
     for s in range(trials):
         c = build_coreset(p, 0.3, method="subspace", seed=s, r_override=100)
         evaluate_coreset(p, c)
-    assert len(svds) == 3
+    assert svds == [(400, 4)]
 
 
 def test_nonnegative_srht_trials_solve_the_full_problem_once(monkeypatch):
+    # x_full is one NNLS on the (n+1)-row system W, none on the 400 rows
     import scipy.optimize
 
-    solves = _count_calls(monkeypatch, scipy.optimize, "nnls", 400)
+    solves = _count_calls(monkeypatch, scipy.optimize, "nnls", 4)
+    full = _count_calls(monkeypatch, scipy.optimize, "nnls", 400)
     p = _problem(400, 3, 12, "nonnegative")
     reps = [evaluate_coreset(p, build_coreset(p, 0.3, method="srht", seed=s,
                                               r_override=100))
             for s in range(4)]
-    assert len(solves) == 1
+    assert solves == [(4, 3)] and full == []
     assert len({r["full_objective"] for r in reps}) == 1
+
+
+def _sweep_data(kind, sign, seed):
+    g = rand(seed)
+    m, n = {"n1": (40, 1), "m=n+1": (4, 3), "duplicate-rows": (60, 3),
+            "b-in-span": (80, 3), "noisy": (200, 4),
+            "b-far-above-A": (200, 3)}[kind]
+    A = g.normal(size=(m, n))
+    if kind == "duplicate-rows":
+        A = np.vstack([A[: m // 2]] * 2)
+    if kind == "b-far-above-A":  # sigma_n(A) ~ 1e-14 |[A b]|
+        A[:, 2] *= 1e-3
+    b = A @ (sign * np.abs(g.normal(size=n)))
+    noise = {"b-in-span": 0.0, "b-far-above-A": 1e11}.get(kind, 0.1)
+    return A, b + noise * g.normal(size=m)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["n1", "m=n+1", "duplicate-rows", "b-in-span",
+                             "noisy", "b-far-above-A"]),
+       constraint=st.sampled_from(["none", "nonnegative"]),
+       sign=st.sampled_from([1.0, -1.0]), j=st.sampled_from([-600, 0, 600]),
+       seed=st.integers(0, 2 ** 16))
+def test_the_one_svd_gives_the_basis_and_the_full_optimum(
+        kind, constraint, sign, j, seed):
+    # U_Y is svd([A b]).U to the bit, and x_full, solved on the small right
+    # factor W or, where W does not resolve A (b far above A), on the full
+    # data, is as good as lstsq's or scipy's NNLS optimum (sign -1 makes
+    # every constraint active); the reference runs at 2^0, where both
+    # solvers' absolute tolerances hold. Solved on W, the b-far-above-A
+    # objective reached 6e4 times the optimum
+    import scipy.optimize
+
+    A, b = _sweep_data(kind, sign, seed)
+    As, bs = np.ldexp(A, j), np.ldexp(b, j)
+    p = RegressionProblem(As, bs, constraint)
+    assert np.array_equal(p._basis, svd(np.column_stack([As, bs])).U)
+    x_ref = (scipy.optimize.nnls(A, b)[0] if constraint == "nonnegative"
+             else np.linalg.lstsq(A, b, rcond=None)[0])
+    got, want = (float(np.sum((A @ x - b) ** 2)) for x in (p._optimum[0], x_ref))
+    # a b in span(A) leaves a residual of rounding alone, ~1e-31 ||b||^2
+    assert abs(got - want) <= 1e-12 * want + 1e-28 * float(b @ b)
+
+
+@pytest.mark.parametrize("b_scale", [0.0, 1.0, 1e8])
+@pytest.mark.parametrize("defect", ["zero-column", "repeated-column",
+                                    "sum-column", "n1-zero"])
+def test_rank_deficient_design_raises_at_any_scale_of_b(defect, b_scale):
+    # the smallest singular value of W's A part carries the rounding of
+    # [A b]'s SVD, ~1e-16 |b|: past A's own cutoff once |b| >> |A|, so such
+    # a design is read again from A itself
+    g = rand(21)
+    A = g.normal(size=(50, 1 if defect == "n1-zero" else 3))
+    if defect in ("zero-column", "n1-zero"):
+        A[:, 0] = 0.0
+    elif defect == "repeated-column":
+        A[:, 2] = A[:, 0]
+    else:
+        A[:, 2] = A[:, 0] + 3.0 * A[:, 1]
+    for constraint in ("none", "nonnegative"):
+        with pytest.raises(RankError):
+            RegressionProblem(A, b_scale * g.normal(size=50), constraint)
+
+
+@pytest.mark.parametrize("b_scale, resolved", [(1e6, True), (1e10, False)])
+def test_a_design_nearly_singular_against_b_is_factored_again(
+        monkeypatch, b_scale, resolved):
+    # W resolves A while sigma_n(A) > 2^-26 sigma_1([A b]); here
+    # sigma_n(A) ~ 18 and sigma_1([A b]) ~ 20 b_scale. Below that W's
+    # rounding reaches x_full: solved on W, this 1e10 objective sits 7e-14
+    # above lstsq's, and 9e-9 once sigma_n(A) / sigma_1 ~ 1e-12
+    svds = _count_calls(monkeypatch, np.linalg, "svd", 400)
+    g = rand(22)
+    A = g.normal(size=(400, 3))
+    b = b_scale * g.normal(size=400)
+    p = RegressionProblem(A, b)
+    rep = evaluate_coreset(p, build_coreset(p, 0.5, method="barrier"))
+    assert rep["ratio"] <= 1.5
+    assert (svds == [(400, 4)]) == resolved
+    assert (p._W is not None) == resolved
+    got, want = (float(np.sum((A @ x - b) ** 2))
+                 for x in (p._optimum[0], np.linalg.lstsq(A, b, rcond=None)[0]))
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_evaluate_refuses_a_coreset_of_another_problem():
+    # with the same n and another m it used to report a ratio (153 for the
+    # first pair); with another n numpy's matmul raised
+    p = _problem(400, 3, 23)
+    for q, method in ((_problem(500, 3, 24), "subspace"),
+                      (_problem(400, 4, 25), "subspace"),
+                      (_problem(1100, 3, 26), "srht")):
+        c = build_coreset(q, 0.3, method=method, seed=1, r_override=100)
+        with pytest.raises(ArgumentError, match="does not fit this 400x3"):
+            evaluate_coreset(p, c)
 
 
 def test_problem_keeps_its_data_when_the_caller_writes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from matsketch import (ArgumentError, fwht, gaussian_sketch, pseudo_inverse,
-                       sign_sketch, srht_rows)
+                       rng, sign_sketch, srht_rows)
 from matsketch.synthetic import random_orthonormal
 
 from conftest import rand
@@ -126,6 +126,75 @@ def test_fwht_matches_explicit_hadamard():
     H4 = np.kron(H2, H2)
     X = rand(17).normal(size=(4, 3))
     np.testing.assert_allclose(fwht(X), H4 @ X, atol=1e-12)
+
+
+def test_fwht_leaves_its_input_unwritten():
+    X = rand(19).normal(size=(16, 3))
+    X0 = X.copy()
+    for x in (X, X[:, 1]):
+        fwht(x)
+    assert X.tobytes() == X0.tobytes()
+
+
+def _old_fwht(Y):
+    """The butterfly as it was: a fresh copy of each level's top half."""
+    n, h = Y.shape[0], 1
+    while h < n:
+        B = Y.reshape(n // (2 * h), 2, h, -1)
+        a = B[:, 0].copy()
+        B[:, 0] += B[:, 1]
+        np.subtract(a, B[:, 1], out=B[:, 1])
+        h *= 2
+    Y /= math.sqrt(n)
+
+
+def _old_srht_rows(A, b, r, seed, pad=None):
+    """srht_rows as the hstack -> zero pad -> sign flip -> fwht chain of
+    copies it was, for the bytes its outputs must keep; pad, if given,
+    overwrites the sign-flipped padding rows."""
+    m = A.shape[0]
+    m_pad = 1 << max(0, (m - 1).bit_length())
+    gen = rng.stream(seed, rng.SRHT)
+    signs = 2.0 * gen.integers(0, 2, size=m_pad) - 1.0
+    idx = gen.integers(0, m_pad, size=int(r))
+    scale = math.sqrt(m_pad / r)
+    stack = A if b is None else np.hstack([A, b.reshape(-1, 1)])
+    padded = np.zeros((m_pad, stack.shape[1]))
+    padded[:m] = stack
+    mixed = padded * signs.reshape(-1, 1)
+    if pad is not None:
+        mixed[m:] = pad
+    _old_fwht(mixed)
+    sk = mixed[idx] * scale
+    return (sk, None, idx) if b is None else (sk[:, :-1], sk[:, -1].copy(), idx)
+
+
+@pytest.mark.parametrize("m", [256, 257, 300])
+@pytest.mark.parametrize("with_b", [False, True])
+def test_srht_rows_keep_the_bytes_of_the_copying_chain(m, with_b):
+    # A's zero column sums only signed zeros, so its bytes can see whether
+    # the padding rows are 0 * sign (-0.0 under a negative sign): at
+    # m = 257 and seed 9 they do, in two of the 512 rows
+    g = rand(20)
+    A = g.normal(size=(m, 4))
+    A[:, 2] = 0.0
+    b = g.normal(size=m) if with_b else None
+    r = 1 << (m - 1).bit_length()
+    got = srht_rows(A, b, r, seed=9)
+    want = _old_srht_rows(A, b, r, seed=9)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert with_b == (got[1] is not None)
+    if with_b:
+        assert got[1].tobytes() == want[1].tobytes()
+    assert np.array_equal(got[2].indices, want[2])
+    if m == 257:
+        unsigned = _old_srht_rows(A, b, r, seed=9, pad=0.0)
+        assert unsigned[0].tobytes() != want[0].tobytes()
+
+
+def test_srht_rows_refuse_b_of_another_length():
+    with pytest.raises(ArgumentError, match="b has length 9, expected 10"):
+        srht_rows(np.ones((10, 2)), np.ones(9), 4, seed=0)
 
 
 def test_srht_single_row_is_trivial():
