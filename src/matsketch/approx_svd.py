@@ -3,7 +3,9 @@
 These replace the exact SVD inside the composite selection algorithms: a
 Gaussian sketch of the row space (Frobenius flavor) or a power-iterated
 sketch (spectral flavor), followed by the restricted best rank-k step.
-Both divide A by a power of two first, so 2^j A gives the same Z as A.
+Both divide A by a power of two first, so 2^j A gives the same Z as A,
+and both take a linalg.ColumnProblem in place of A, whose validated
+S = A / 2^e they then read as it stands.
 """
 
 import math
@@ -13,8 +15,8 @@ import numpy as np
 
 from . import rng
 from .errors import ArgumentError
-from .linalg import (_subspace_factors, as_matrix, best_rank_k_in_subspace,
-                     formula_width, pow2_scaled)
+from .linalg import (ColumnProblem, _subspace_factors, as_matrix,
+                     best_rank_k_in_subspace, formula_width, pow2_scaled)
 from .sketch import srht_rows
 
 
@@ -28,6 +30,11 @@ class ApproxBasis:
     method: str
     oversample: int
     power: int
+
+
+def _scaled(A):
+    """A / 2^e for an array A, validated; a ColumnProblem's own S."""
+    return A.S if isinstance(A, ColumnProblem) else pow2_scaled(as_matrix(A))[0]
 
 
 def _validate_k(A, k):
@@ -55,8 +62,9 @@ def fast_frobenius_svd(A, k, eps, seed=0):
     Z = right singular vectors of (Q^T A)_k for Q an orthonormal basis of
     Y. Satisfies E ||A - A Z Z^T||_F^2 <= (1 + eps) ||A - A_k||_F^2; at
     r = n, Y already spans A's column space and Z is the exact top-k.
+    A may be a ColumnProblem (_scaled).
     """
-    A, _ = pow2_scaled(as_matrix(A))
+    A = _scaled(A)
     _validate_k(A, k)
     if not (0 < eps < 1):
         raise ArgumentError(f"need 0 < eps < 1, got {eps}")
@@ -103,8 +111,9 @@ def fast_spectral_svd(A, k, eps, seed=0):
     Satisfies E ||A - A Z Z^T||_2 <= (sqrt(2) + eps) ||A - A_k||_2.
     The iterate is re-orthonormalized (QR) after every application of
     A A^T; that leaves the span unchanged and stops float underflow.
+    A may be a ColumnProblem (_scaled).
     """
-    A, _ = pow2_scaled(as_matrix(A))
+    A = _scaled(A)
     _validate_k(A, k)
     if not (0 < eps < 1 or eps == 1):
         raise ArgumentError(f"need 0 < eps <= 1, got {eps}")

@@ -11,28 +11,33 @@ per-instance spectral bounds already include that factor.
 Selection and certification are apart: each mode picks its columns and
 names its bound constant; `_certify` reads the baseline, scales it by the
 constant, and measures both errors. Each entry takes A or a
-linalg.ColumnProblem of it, which forms what the bounds read of A once:
-S = A / 2^e, its Gram matrix G and, per k, the top-k subspace Z, the
-residual E = A - A Z Z^T and the baselines ||E||_2 and ||E||_F, not a
-full SVD. For any orthonormal Z these are never below sigma_{k+1} or
-||A - A_k||_F, the structural lemma of Boutsidis-Drineas-Magdon-Ismail
-holds for that E, and they read 0.0 on input of rank <= k.
-Deterministic cx_spectral starts from Z too: when m >= n and the Gram
-eigenvalues of E show rank(A) = n, it walks Z against the complement of
-Z, with baseline ||E||_2 (_full_rank_split). Only when rank(A) = n cannot
-be established (rank < n, wide A, zero or duplicate columns, rank exactly
-k) does it factor A in full, for V[:, k:] and rank(A). Every bound is
-homogeneous in A, so selection and certification see only S; _certify
-alone scales numbers back, so nothing overflows or underflows and 2^j A
-gives 2^j times the numbers of A. Both errors, and a spectral baseline,
-come from G = S^T S, not from an m x n residual: R^T R = S^T S -
-B_k^T B_k for B_k = (Q^T S)_k, so each plan costs a rank-k update of a
-copy of G. The spectral error is the square root of a certified upper
-end of lambda_max (Lanczos, then a Cholesky factorization that proves
-the bound; linalg._lambda_max_upper), at most 1e-10 relative above the
-SVD value of the formed residual. A wide A, cancellation (input of rank
-<= k) or a failed ARPACK or Cholesky call falls back to forming R and
-taking its top Gram eigenvalue alone (LAPACK dsyevr).
+linalg.ColumnProblem of it, which validates and rescales A once and forms
+what the bounds read of A once: S = A / 2^e, its Gram matrix G and, per
+k, the top-k subspace Z (Lanczos on G) and the baselines ||E||_2 and
+||E||_F of E = S - S Z Z^T, not a full SVD. The sketched bases
+(approx_svd) read the same S. For any orthonormal Z these baselines are
+never below sigma_{k+1} or ||A - A_k||_F, the structural lemma of
+Boutsidis-Drineas-Magdon-Ismail holds for that E, and they read 0.0 on
+input of rank <= k. Where m >= n the spectral one is a certified upper
+end read from G as (I - Z Z^T) G (I - Z Z^T), with no E formed.
+Deterministic cx_spectral starts from Z too: when m >= n and a Cholesky
+factorization of that compression (lifted on Z, less a floor) shows
+rank(A) = n, it walks Z against the complement of Z, with the spectral
+baseline (_full_rank_split); it runs no dense eigensolver and forms no
+m x n residual. Only when rank(A) = n cannot be established (rank < n,
+wide A, zero or duplicate columns, rank exactly k) does it factor A in
+full, for V[:, k:] and rank(A). Every bound is homogeneous in A, so
+selection and certification see only S; _certify alone scales numbers
+back, so nothing overflows or underflows and 2^j A gives 2^j times the
+numbers of A. Both errors come from G = S^T S, not from an m x n
+residual: R^T R = S^T S - B_k^T B_k for B_k = (Q^T S)_k, so each plan
+costs a rank-k update of a copy of G. The spectral error is the square
+root of a certified upper end of lambda_max (Lanczos, then a Cholesky
+factorization that proves the bound; linalg._lambda_max_upper), at most
+1e-10 relative above the SVD value of the formed residual. A wide A,
+cancellation (input of rank <= k) or a failed ARPACK or Cholesky call
+falls back to forming R and taking its top Gram eigenvalue alone (LAPACK
+dsyevr).
 """
 
 import math
@@ -44,10 +49,10 @@ import numpy as np
 from . import rng
 from .approx_svd import fast_frobenius_svd, fast_spectral_svd
 from .errors import ArgumentError
-from .linalg import (ColumnProblem, SamplingPlan, _gram_eigenvalues,
-                     _gram_residual_norms, _norms, _plan_columns,
-                     _pow2_unscaled, _rank_svd, _residual, _subspace_factors,
-                     apply_plan_rows, rank_cutoff)
+from .linalg import (ColumnProblem, SamplingPlan, _gram_residual_norms,
+                     _norms, _plan_columns, _pow2_unscaled, _projected_gram,
+                     _rank_svd, _residual, _subspace_factors, apply_plan_rows,
+                     rank_cutoff)
 from .samplers import (_barrier_complement, adaptive_sampling,
                        barrier_dual_frobenius, barrier_dual_spectral,
                        barrier_single, rrqr_select, subspace_sampling)
@@ -105,26 +110,34 @@ _FULL_RANK_RATIO = 1e-3
 
 def _full_rank_split(p, k):
     """(Z, sigma) with Z p.top(k)'s n x k subspace of S = A / 2^e and
-    sigma = ||S - S Z Z^T||_2, the baseline in S's units; None unless
-    m >= n and rank(A) = n is established.
+    sigma = p.baseline(k, "spectral") >= ||S - S Z Z^T||_2, the baseline in
+    S's units; None unless m >= n and rank(A) = n is established.
 
-    The rank test reads the Ritz values and every eigenvalue of the Gram
-    matrix of E = p.residual(k), which is zero on Z and, off Z, S^T S
-    compressed to Z's complement: rank(A) = n needs s_k above rank_cutoff
-    and its (k+1)-th smallest eigenvalue above _FULL_RANK_RATIO^2 s_1^2.
-    E needs no rescale of its own: wherever the test can pass, ||E||_2 is
-    above 1e-3 s_1 >= 1e-3 max |S| >= 5e-4. Then V[:, k:] V[:, k:]^T =
-    I - Z Z^T, and the dual-set walk reads its upper set only through that
-    projector, so the complement of Z gives V[:, k:]'s guarantee."""
-    if p.A.shape[0] < p.A.shape[1]:
+    rank(A) = n needs s_k above rank_cutoff and S^T S, compressed to Z's
+    complement, positive definite with all its eigenvalues above
+    f^2 = (_FULL_RANK_RATIO s_1)^2. That compression is P G P, P = I - Z Z^T,
+    G = p.gram, which is zero on Z; so the test factors
+    H = P G P + s_1^2 Z Z^T - f^2 I (linalg._projected_gram), whose
+    eigenvalues are s_1^2 - f^2 > 0 on Z and those of the compression less
+    f^2 off it: it passes exactly when LAPACK's dpotrf factors H. H's
+    rounding, about n eps s_1^2, is far below f^2, so no dense eigensolver
+    and no residual are needed. Then V[:, k:] V[:, k:]^T = I - Z Z^T, and the
+    dual-set walk reads its upper set only through that projector, so the
+    complement of Z gives V[:, k:]'s guarantee."""
+    from scipy.linalg.lapack import dpotrf
+
+    m, n = p.A.shape
+    if m < n:
         return None
     Z, s = p.top(k)
     if not s[k - 1] > rank_cutoff(s, p.A.shape):
         return None
-    lam = _gram_eigenvalues(p.residual(k))
-    if not math.sqrt(max(lam[k], 0.0)) > _FULL_RANK_RATIO * s[0]:
+    H = _projected_gram(p.gram, Z, s[0] ** 2)
+    H.flat[::n + 1] -= (_FULL_RANK_RATIO * s[0]) ** 2
+    _, info = dpotrf(H.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
         return None
-    return Z, math.sqrt(max(lam[-1], 0.0))
+    return Z, p.baseline(k, "spectral")
 
 
 def _problem(A):
@@ -178,7 +191,7 @@ def cx_spectral(A, k, r, mode="deterministic", seed=0):
                         formula, sigma)
     if mode == "fast":
         shrink = _check_kr(p.A, k, r, 2)
-        basis = fast_spectral_svd(p.S, k, 1, seed=seed)
+        basis = fast_spectral_svd(p, k, 1, seed=seed)
         plan = _barrier_complement(basis.Z, basis.Z[:, :0], r)
         const = (math.sqrt(2.0) + 1.0) * (1.0 + (1.0 + math.sqrt(n / r)) / shrink)
         formula = "E: (sqrt(2)+1)*(1+(1+sqrt(n/r))/(1-sqrt(k/r)))*sigma_{k+1}"
@@ -210,7 +223,7 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
                         "sqrt(1+1/(1-sqrt(k/r))^2)*||A-A_k||_F")
     if mode == "fast":
         shrink = _check_kr(A, k, r, 2)
-        Z = fast_frobenius_svd(S, k, 0.1, seed=seed).Z
+        Z = fast_frobenius_svd(p, k, 0.1, seed=seed).Z
         plan = barrier_dual_frobenius(Z, _residual(S, Z), r)
         return _certify(p, k, plan, "frobenius",
                         math.sqrt(1.1 * (1.0 + 1.0 / shrink ** 2)),
@@ -226,7 +239,7 @@ def cx_frobenius(A, k, r, mode="deterministic", seed=0):
                 f"relative-error guarantee is proved for r > 10k; r={r} <= {10 * k} "
                 "keeps the expectation bound but thins the safety margin",
                 stacklevel=2)
-        Z = fast_frobenius_svd(S, k, 0.1, seed=seed).Z
+        Z = fast_frobenius_svd(p, k, 0.1, seed=seed).Z
         plan1 = barrier_dual_frobenius(Z, _residual(S, Z), 4 * k)
         C1 = _plan_columns(S, plan1)
         plan2 = adaptive_sampling(S, C1, r - 4 * k,
@@ -262,12 +275,12 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
     if k >= n:
         raise ArgumentError(f"need k < n to have columns to reject, got k={k}, n={n}")
     if mode == "spectral":
-        Z = fast_spectral_svd(S, k, 0.5, seed=seed).Z
+        Z = fast_spectral_svd(p, k, 0.5, seed=seed).Z
         return _certify(p, k, rrqr_select(Z), "spectral",
                         4.0 * math.sqrt(4.0 * k * (n - k) + 1.0),
                         "E: 4*sqrt(4k(n-k)+1)*sigma_{k+1}")
     if mode == "frobenius":
-        Z = fast_frobenius_svd(S, k, 0.5, seed=seed).Z
+        Z = fast_frobenius_svd(p, k, 0.5, seed=seed).Z
         plan1 = barrier_dual_frobenius(Z, _residual(S, Z), 4 * k)
         inner = rrqr_select(apply_plan_rows(Z, plan1))
         sel = SamplingPlan(n, plan1.indices[inner.indices], 1.0)
@@ -276,7 +289,7 @@ def cssp(A, k, mode="spectral", delta=0.1, seed=0):
     if mode == "two_stage":
         if not (0.0 < delta < 1.0):
             raise ArgumentError(f"need 0 < delta < 1, got {delta}")
-        Z = p.top(1)[0] if k == 1 else fast_frobenius_svd(S, k, 0.5, seed=seed).Z
+        Z = p.top(1)[0] if k == 1 else fast_frobenius_svd(p, k, 0.5, seed=seed).Z
         r1 = math.ceil(8.0 * k * math.log(2.0 * k / delta))
         plan1 = subspace_sampling(Z, 1.0, max(r1, k),
                                   seed=rng.derive_seed(seed, rng.CSSP, 0))
@@ -305,7 +318,7 @@ def interpolative_decomposition(A, k, seed=0):
     p = _problem(A)
     if not (2 <= k <= min(p.A.shape)):
         raise ArgumentError(f"need 2 <= k <= min(m,n), got k={k}")
-    Z = fast_spectral_svd(p.S, k, 0.5, seed=seed).Z
+    Z = fast_spectral_svd(p, k, 0.5, seed=seed).Z
     plan = rrqr_select(Z)
     sel = plan.indices
     C = p.A[:, sel].copy()

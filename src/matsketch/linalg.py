@@ -204,6 +204,24 @@ def _residual(A, Z):
     return np.subtract(A, E, out=E)
 
 
+def _lanczos(F, k, **kwargs):
+    """scipy's eigsh(., k, **kwargs) of the symmetric matrix held in the
+    lower triangle of the Fortran-ordered n x n F, through the half-storage
+    operator x -> dsymv(F, x), which reads that triangle alone. ARPACK
+    runs to tol=0 from a fixed start vector and with a fixed generator for
+    its restarts (scipy's svds draws those from OS entropy), so the output
+    is a function of F. ArpackError propagates."""
+    import scipy.sparse.linalg as sla  # ~30 ms to import; only ARPACK needs it
+    from scipy.linalg.blas import dsymv
+
+    n = F.shape[0]
+    op = sla.LinearOperator((n, n), dtype=float,
+                            matvec=lambda x: dsymv(1.0, F, x, lower=1))
+    gen = rng.stream(0, rng.TOP_K)
+    return sla.eigsh(op, k, v0=gen.standard_normal(n), tol=0, rng=gen,
+                     **kwargs)
+
+
 class ColumnProblem:
     """A column-selection input A, validated once and held as a read-only
     view (not a copy) that must not be written while the problem is in
@@ -234,10 +252,9 @@ class ColumnProblem:
         subspace and the k Ritz values s, largest first.
 
         ARPACK's Lanczos runs on `gram` (one product over S; each Lanczos
-        step is then one min(m, n)-square matvec) to tol=0, from a fixed
-        start vector and with a fixed generator for its restarts (scipy's
-        svds draws those from OS entropy). k = min(m, n) takes the dense
-        SVD; an all-zero S gives the first k columns of I_n and s = 0.
+        step is then one half-storage dsymv over its lower triangle,
+        _lanczos). k = min(m, n) takes the dense SVD; an all-zero S gives
+        the first k columns of I_n and s = 0.
         """
         if ("top", k) in self._memo:
             return self._memo["top", k]
@@ -253,10 +270,8 @@ class ColumnProblem:
         else:
             import scipy.sparse.linalg as sla  # ~30 ms to import; only ARPACK needs it
 
-            gen = rng.stream(0, rng.TOP_K)
             try:
-                _, V = sla.eigsh(self.gram, k, v0=gen.standard_normal(min(m, n)),
-                                 tol=0, rng=gen)
+                _, V = _lanczos(self.gram.T, k, which="LM")
             except sla.ArpackError as err:  # ArpackNoConvergence included
                 raise NumericError(f"ARPACK found no top-{k} subspace: {err}") from err
             V, _ = np.linalg.qr(V)
@@ -284,19 +299,28 @@ class ColumnProblem:
             _residual(self.S, Z) if E is None else E)[0]
 
     def baseline(self, k, norm):
-        """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") read
-        from E = residual(k) as residual_norm or ||E||_F. Since S Z Z^T has
-        rank k, these are never below the exact values (up to rounding).
-        Both read exactly 0.0 when ||E||_F <= rank_cutoff(s), as does any
+        """sigma_{k+1} (norm "spectral") or ||A - A_k||_F ("frobenius") of
+        E = S - S Z Z^T for top(k)'s Z. Since S Z Z^T has rank k, these are
+        never below the exact values (up to rounding). Where m >= n the
+        spectral one is first the certified upper end that
+        _gram_projected_norm reads from `gram`, with no residual formed. A
+        certified ||E||_2^2 exceeds 1e10 times the Gram slack, >= 1e-6 m
+        s_1^2, so it always passes the zero test below. Otherwise both are
+        read from E = residual(k), as _norms(E)'s ||E||_2 or as ||E||_F,
+        and read exactly 0.0 when ||E||_F <= rank_cutoff(s), as does any
         ||E||_F whose squares underflow, so input of rank <= k has a zero
-        baseline instead of rounding noise. (A certified ||E||_2^2 exceeds
-        1e10 times the Gram slack, >= 1e-6 m s_1^2, so it is never zeroed.)"""
+        baseline instead of rounding noise."""
         if (norm, k) not in self._memo:
-            (Z, s), E = self.top(k), self.residual(k)
-            tail = np.linalg.norm(E)
-            self._memo[norm, k] = (
-                0.0 if tail <= rank_cutoff(s, E.shape)
-                else self.residual_norm(Z, E) if norm == "spectral" else tail)
+            Z, s = self.top(k)
+            m, n = self.S.shape
+            value = (_gram_projected_norm(self.gram, m, Z)
+                     if norm == "spectral" and m >= n else None)
+            if value is None:
+                E = self.residual(k)
+                tail = np.linalg.norm(E)
+                value = (0.0 if tail <= rank_cutoff(s, E.shape)
+                         else _norms(E)[0] if norm == "spectral" else tail)
+            self._memo[norm, k] = value
         return self._memo[norm, k]
 
 
@@ -390,11 +414,11 @@ def _lambda_max_upper(G, slack):
     (1 + _GRAM_TAU_RATIO) theta.
 
     G is a C-ordered symmetric n x n (n >= 2) matrix of which only the upper
-    triangle is read, and the call overwrites it. ARPACK's Lanczos (eigsh,
-    which="LA", tol=0, seeded as in ColumnProblem.top) gives
-    a Ritz value theta. dpotrf then factors H = c I - G in G's own buffer,
-    with c = (1 + gamma_{n+1}) theta, a shift at the scale of Cholesky's
-    own rounding so that this nearly singular H factors. Formed in floats,
+    triangle is read, and the call overwrites it. ARPACK's Lanczos
+    (_lanczos, which="LA") gives a Ritz value theta. dpotrf then factors
+    H = c I - G in G's own buffer, with c = (1 + gamma_{n+1}) theta, a
+    shift at the scale of Cholesky's own rounding so that this nearly
+    singular H factors. Formed in floats,
     H's diagonal rounds by at most u (c + max |g_ii|), u = 2^-53. A
     Cholesky factorization that runs to completion gives R^T R = H + dH
     with |dH| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and Stability of
@@ -414,17 +438,12 @@ def _lambda_max_upper(G, slack):
     (theta <= 0, or a slack large against it).
     """
     import scipy.sparse.linalg as sla  # ~30 ms to import; only ARPACK needs it
-    from scipy.linalg.blas import dsymv
     from scipy.linalg.lapack import dpotrf
 
     n = G.shape[0]
     F = G.T  # Fortran order; its lower triangle is G's upper
-    op = sla.LinearOperator((n, n), dtype=float,
-                            matvec=lambda x: dsymv(1.0, F, x, lower=1))
-    gen = rng.stream(0, rng.TOP_K)
     try:
-        theta = float(sla.eigsh(op, 1, which="LA", v0=gen.standard_normal(n),
-                                tol=0, rng=gen, return_eigenvectors=False)[0])
+        theta = float(_lanczos(F, 1, which="LA", return_eigenvectors=False)[0])
     except sla.ArpackError:  # ArpackNoConvergence included
         return None
     if not slack <= _GRAM_TAU_RATIO * theta:
@@ -478,6 +497,23 @@ def _gram_residual_norms(G, m, s, Vt):
     return math.sqrt(lam), math.sqrt(max(t - float(s @ s), 0.0))
 
 
+def _projected_gram(G, Z, lift=0.0):
+    """P G P + lift Z Z^T, P = I - Z Z^T, for a symmetric n x n G and an
+    n x k Z with orthonormal columns, in the upper triangle of a new
+    C-ordered array (the lower triangle of its Fortran view; the other
+    triangle is G's). With Y = G Z, X = Z^T Y + lift I (symmetric) and
+    W = Y - Z X / 2 it is G - W Z^T - Z W^T, one rank-2k update (dsyr2k)
+    of a copy of G."""
+    from scipy.linalg.blas import dsyr2k
+
+    Y = G @ Z
+    X = Z.T @ Y
+    X.flat[::X.shape[0] + 1] += lift
+    P = G.copy()
+    dsyr2k(-1.0, Y - Z @ X * 0.5, Z, beta=1.0, c=P.T, lower=1, overwrite_c=1)
+    return P
+
+
 def _gram_projected_norm(G, m, Z):
     """||S - S Z Z^T||_2 for an n x k Z with orthonormal columns, from the
     Gram matrix G = S^T S of the m x n S, with max |S| in [1/2, 1), without
@@ -485,8 +521,8 @@ def _gram_projected_norm(G, m, Z):
     no bound.
 
     For any Z, R = S (I - Z Z^T) has R^T R = P G P, P = I - Z Z^T,
-    = G - W Z^T - Z W^T with Y = G Z, X = Z^T Y and W = Y - Z X / 2 (X is
-    symmetric), one rank-2k update of a copy of G (dsyr2k). Besides G's
+    = G - W Z^T - Z W^T with Y = G Z, X = Z^T Y and W = Y - Z X / 2
+    (_projected_gram). Besides G's
     own rounding, gamma_m tr(G) as in _gram_residual_norms, the products
     round by at most, with g = ||G||_inf >= || |G| ||_2, ||Z||_2 = 1 and
     ||Z||_F = sqrt(k): 3 sqrt(k) gamma_n g through Y, k gamma_n g through
@@ -494,15 +530,9 @@ def _gram_projected_norm(G, m, Z):
     the update. slack = gamma_{m+4} tr(G) + (3 sqrt(k) + k + 1)
     gamma_{n+7k} g covers them with their second-order terms.
     """
-    from scipy.linalg.blas import dsyr2k
-
     n, k = Z.shape
-    P = np.abs(G)
-    g = float(P.sum(axis=1).max())
-    np.copyto(P, G)
-    Y = G @ Z
-    W = Y - Z @ (Z.T @ Y) * 0.5
-    dsyr2k(-1.0, W, Z, beta=1.0, c=P.T, lower=1, overwrite_c=1)
+    g = float(np.abs(G).sum(axis=1).max())
+    P = _projected_gram(G, Z)
     slack = (_gamma(m + 4) * float(np.trace(G))
              + (3.0 * math.sqrt(k) + k + 1.0) * _gamma(n + 7 * k) * g)
     lam = _lambda_max_upper(P, slack)

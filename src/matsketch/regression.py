@@ -28,7 +28,7 @@ from . import rng
 from .errors import ArgumentError, ConvergenceError, NumericError, RankError
 from .linalg import (SamplingPlan, _plan_rows, _pow2_exponent, _pow2_unscaled,
                      _pseudo_inverse, _ratio, _svd, as_matrix, as_vector,
-                     formula_width, frobenius_norm, pow2_scaled, rank_cutoff,
+                     formula_width, frobenius_norm, rank_cutoff,
                      singular_values, svd)
 from .samplers import (_barrier_core, _embedding_kappa, _ortho_deviation,
                        _plan_from_weights, subspace_sampling)
@@ -137,7 +137,9 @@ class Coreset:
     1.0 for the all-rows answer, whose plan is noted "all-rows"); steps,
     the barrier position of the kept plan (16 m for an all-rows answer);
     and checkpoints, the (steps, kappa) of every partial plan the walk
-    measured, in order. Other methods leave all three None.
+    measured, in order. Other methods leave all three None. m is the row
+    count of the problem it was built on (build_coreset), which
+    evaluate_coreset checks; None on a coreset built by hand.
     """
 
     plan: object
@@ -149,6 +151,7 @@ class Coreset:
     kappa: float | None = None
     steps: int | None = None
     checkpoints: tuple | None = None
+    m: int | None = None
 
 
 def coreset_size(method, n, eps, delta, m):
@@ -234,7 +237,7 @@ def build_coreset(p, eps, method="barrier", delta=0.1, seed=0, r_override=None):
         b_c = plan.weights * p.b[plan.indices]
     return Coreset(plan=plan, C=C, b_c=b_c, method=method, eps=float(eps),
                    delta=float("nan") if method == "barrier" else float(delta),
-                   kappa=kappa, steps=steps, checkpoints=checkpoints)
+                   kappa=kappa, steps=steps, checkpoints=checkpoints, m=m)
 
 
 def _barrier_plan(U_Y, eps, r, adaptive):
@@ -283,32 +286,45 @@ def _barrier_plan(U_Y, eps, r, adaptive):
             tuple(trail))
 
 
+def _pow2_small(M):
+    """pow2_scaled(M) for the small validated arrays _nnls sees, with one
+    reduction in place of two (the same e, so the same bits)."""
+    e = math.frexp(float(np.abs(M).max()))[1]
+    return (np.ldexp(M, -e) if e else M), e
+
+
 def _nnls(C, b):
     """argmin_{x >= 0} ||Cx - b||^2 by scipy's Lawson-Hanson active set.
 
     scipy's tolerances and the KKT check below are absolute, so both run on
     C / 2^eC and b / 2^eb (exact rescales to max |entry| in [1/2, 1)); the
-    solution of the unscaled system is then 2^(eb - eC) times theirs.
+    solution of the unscaled system is then 2^(eb - eC) times theirs. The
+    check reads the n entries of x and of the gradient as Python floats:
+    NNLS systems here have few columns, where numpy's per-call overhead
+    would cost more than the arithmetic.
     """
     import scipy.optimize  # ~0.3 s to import, and only NNLS needs it
 
     m, n = C.shape
-    C, eC = pow2_scaled(C)
-    b, eb = pow2_scaled(b)
+    C, eC = _pow2_small(C)
+    b, eb = _pow2_small(b)
     try:
         x = scipy.optimize.nnls(C, b)[0]
     except RuntimeError as exc:  # scipy's iteration cap, 3n
         raise ConvergenceError(
             f"NNLS exceeded its iteration cap on {m}x{n} system") from exc
-    passive = x > 0.0
-    scale = max(1.0, float(np.abs(C.T @ b).max()))
-    w = C.T @ (b - C @ x)
+    gtol = 1e-8 * max(1.0, *map(abs, (C.T @ b).tolist()))
 
     # KKT: zero gradient on the support, nonnegative dual off it
-    gtol = 1e-8 * scale
-    if passive.any() and float(np.abs(w[passive]).max()) > gtol:
+    moves = stalls = False
+    for xi, w in zip(x.tolist(), (C.T @ (b - C @ x)).tolist()):
+        if xi > 0.0:
+            moves |= abs(w) > gtol
+        else:
+            stalls |= w > gtol
+    if moves:
         raise NumericError("NNLS left a nonzero gradient on the support")
-    if (~passive).any() and float(w[~passive].max()) > gtol:
+    if stalls:
         raise NumericError("NNLS left a strictly improving inactive variable")
     return np.ldexp(x, eb - eC)
 
@@ -353,16 +369,18 @@ def evaluate_coreset(p, c):
     its plan's note ("all-rows" for the barrier's all-rows answer). A
     coreset that is p's own rows at weight 1, as the all-rows answer is,
     poses p's problem: x_full is its solution and its ratio is 1.0. A
-    coreset whose plan or columns do not fit p (built on another problem)
-    raises ArgumentError.
+    coreset whose plan, columns or recorded row count (Coreset.m) do not
+    fit p (built on another problem) raises ArgumentError; an srht plan
+    indexes the padded rows, which problems of other row counts share.
     """
     m, n = p.A.shape
     rows = 1 << (m - 1).bit_length() if c.method == "srht" else m
-    if c.plan.source_dim != rows or np.ndim(c.C) != 2 or c.C.shape[1] != n:
+    if (c.plan.source_dim != rows or c.m not in (None, m)
+            or np.ndim(c.C) != 2 or c.C.shape[1] != n):
         raise ArgumentError(
-            f"coreset does not fit this {m}x{n} problem: its plan indexes "
-            f"{c.plan.source_dim} rows (a {c.method} plan on it, {rows}) "
-            f"and C has shape {np.shape(c.C)}")
+            f"coreset does not fit this {m}x{n} problem: it was built on "
+            f"{c.m} rows, its plan indexes {c.plan.source_dim} rows (a "
+            f"{c.method} plan on it, {rows}) and C has shape {np.shape(c.C)}")
     t0 = time.perf_counter()
     x_full, res_full = p._optimum
     t_full = time.perf_counter() - t0

@@ -361,7 +361,6 @@ def test_certification_runs_no_dense_eigensolver(monkeypatch, name):
 
     monkeypatch.setattr(cx_module, "_certify", tracking)
     monkeypatch.setattr(linalg, "_gram_eigenvalues", counting)
-    monkeypatch.setattr(cx_module, "_gram_eigenvalues", counting)
     _RUNS[name](A)
     assert dense == []
 
@@ -425,9 +424,15 @@ def test_full_rank_cx_spectral_matches_the_svd_path(monkeypatch, shape, k, r,
     assert np.array_equal(got.plan.indices, want.plan.indices)
     np.testing.assert_allclose(got.plan.weights, want.plan.weights,
                                rtol=1e-12, atol=0)
-    for field in _FIELDS:
+    for field in _FIELDS[:2]:
         assert getattr(got, field) == pytest.approx(getattr(want, field),
                                                     rel=1e-12, abs=0), field
+    # sigma is a certified upper end: at most the Gram certificate's margin,
+    # _GRAM_TAU_RATIO = 1e-10 relative, above the SVD value
+    for field in _FIELDS[2:]:
+        exact = getattr(want, field)
+        assert exact * (1 - 1e-12) <= getattr(got, field) <= \
+            exact * (1 + 1e-10), field
     assert got.bound_formula == want.bound_formula
 
 
@@ -459,6 +464,80 @@ def test_cx_spectral_keeps_the_svd_path_unless_rank_is_n(monkeypatch, name):
     assert np.array_equal(got.C, want.C)
     for field in _FIELDS:
         assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
+                         ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("shape, k, r", [((60, 40), 3, 10), ((200, 120), 4, 20)],
+                         ids=["60x40", "200x120"])
+def test_full_rank_cx_spectral_runs_no_dense_eigensolver(monkeypatch, shape, k,
+                                                          r, scale):
+    # the rank test and sigma come from A's Gram matrix: no dsyevr, and
+    # neither the baseline's residual E nor any other m x n residual
+    import scipy.linalg
+
+    A = lowrank_plus_noise(*shape, k, 0.1, seed=shape[0]) * scale
+    sigma = np.linalg.svd(A, compute_uv=False)[k]
+    seen = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in ((linalg, "_gram_eigenvalues"), (scipy.linalg, "eigh"),
+                         (linalg, "_residual"), (cx_module, "_residual"),
+                         (ColumnProblem, "residual")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    got = cx_spectral(A, k, r)
+    assert seen == []
+    assert sigma <= got.baseline_sigma <= sigma * (1 + 1e-10)
+
+
+def _ref_full_rank(A, k):
+    """The rank test as the dense eigensolver took it: s_k above the rank
+    cutoff and the (k+1)-th smallest eigenvalue of E^T E (dsyevr), for the
+    residual E of the top-k subspace, above (1e-3 s_1)^2."""
+    p = ColumnProblem(A)
+    if p.A.shape[0] < p.A.shape[1]:
+        return False
+    Z, s = p.top(k)
+    if not s[k - 1] > linalg.rank_cutoff(s, p.A.shape):
+        return False
+    lam = linalg._gram_eigenvalues(p.residual(k))
+    return math.sqrt(max(lam[k], 0.0)) > 1e-3 * s[0]
+
+
+def _off_top_spectrum(ratio):
+    """A full-rank 60 x 40 A whose singular values off its top 3 fall from
+    1 to ratio * sigma_1, so its smallest off the top-3 subspace is that."""
+    g = rand(25)
+    U, _ = np.linalg.qr(g.normal(size=(60, 40)))
+    V, _ = np.linalg.qr(g.normal(size=(40, 40)))
+    s = np.concatenate([[10.0, 8.0, 6.0], np.geomspace(1.0, 10.0 * ratio, 37)])
+    return (U * s) @ V.T
+
+
+def _rank_cases():
+    cases = {name: (A, k) for name, (A, k, _) in _fallback_cases().items()}
+    cases.update({
+        "full-rank": (lowrank_plus_noise(60, 40, 3, 0.1, seed=7), 3),
+        "off-top-0.5e-3": (_off_top_spectrum(0.5e-3), 3),
+        "off-top-2e-3": (_off_top_spectrum(2e-3), 3),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600],
+                         ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("name", sorted(_rank_cases()))
+def test_cholesky_rank_test_agrees_with_the_eigenvalues(name, scale):
+    A, k = _rank_cases()[name]
+    want = _ref_full_rank(A * scale, k)
+    assert want == (name in ("full-rank", "off-top-2e-3"))
+    got = cx_module._full_rank_split(ColumnProblem(A * scale), k)
+    assert (got is not None) == want
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -307,6 +307,17 @@ def test_evaluate_refuses_a_coreset_of_another_problem():
             evaluate_coreset(p, c)
 
 
+def test_evaluate_refuses_an_srht_coreset_of_a_problem_of_other_m():
+    # 300 and 400 rows both pad to 512, so the plan's source_dim fits; the
+    # coreset used to report a ratio (347 for this pair) on the other problem
+    p = _problem(400, 3, 23)
+    c = build_coreset(_problem(300, 3, 27), 0.3, method="srht", seed=1,
+                      r_override=100)
+    assert c.m == 300 and c.plan.source_dim == 512
+    with pytest.raises(ArgumentError, match="built on 300 rows"):
+        evaluate_coreset(p, c)
+
+
 def test_problem_keeps_its_data_when_the_caller_writes():
     g = rand(13)
     A = g.normal(size=(300, 3))
@@ -714,3 +725,19 @@ def test_nnls_iteration_cap_is_convergence_error(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "nnls", capped)
     with pytest.raises(ConvergenceError, match="iteration cap"):
         solve_ls(np.eye(2), np.array([1.0, -1.0]), "nonnegative")
+
+
+@pytest.mark.parametrize("x, message", [
+    ([0.5, 0.0], "nonzero gradient on the support"),  # x_1 = 1 is optimal
+    ([1.0, 0.0, 0.0], "strictly improving inactive"),  # x_3 = 1 is optimal
+])
+def test_nnls_refuses_an_answer_that_fails_kkt(monkeypatch, x, message):
+    # each KKT condition, read off a solver answer that breaks it alone
+    import scipy.optimize
+
+    n = len(x)
+    monkeypatch.setattr(scipy.optimize, "nnls",
+                        lambda A, b: (np.array(x), 0.0))
+    b = np.array([1.0, -1.0, 1.0][:n])
+    with pytest.raises(NumericError, match=message):
+        solve_ls(np.eye(n), b, "nonnegative")
